@@ -10,6 +10,7 @@ operations genuinely cost less.
 
 from .algorithms import (
     ALGORITHM_IDS,
+    ALGORITHMS,
     MIXED_MODES,
     MulResult,
     TraceStep,
@@ -29,7 +30,7 @@ from .backends import (
     load_profile,
     preset,
 )
-from .bench import BenchReport, RECODING_FORMS, algorithms_for_form, run_bench, sample_scalars
+from .bench import BenchReport, algorithms_for_form, run_bench, sample_scalars
 from .costs import (
     DEFAULT_RATIOS,
     OP_KINDS,
@@ -41,7 +42,7 @@ from .costs import (
     weighted_total,
 )
 from .groups import NegationAwareGroup
-from .recoding import SignedExpansion, binary_expansion, naf, width_w_naf
+from .recoding import RECODING_FORMS, SignedExpansion, binary_expansion, naf, recode, width_w_naf
 from .verify import (
     MAX_VERIFY_N,
     VERIFY_PRIMES,
@@ -54,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_IDS",
+    "ALGORITHMS",
     "BenchReport",
     "CostChargingGroup",
     "CostLedger",
@@ -85,6 +87,7 @@ __all__ = [
     "neg_scalar_mul",
     "neg_scalar_mul_online",
     "preset",
+    "recode",
     "run_bench",
     "sample_scalars",
     "savings_percent",

@@ -8,26 +8,29 @@ to sign: a one-bit flag f counts negations mod 2 and maintains
     (-1)**f * E  ==  (value of the digits consumed so far) * D
 
 after every step. Doublings become fused negate-doubles, digit additions
-become fused negate-adds, and because the addend is picked from the stored
-pair {D, -D} (or from the odd-multiples table and its negatives), the digit
-value never multiplies anything; the bookkeeping is one integer flip per
-group operation.
+become fused negate-adds, and because the addend is picked from a table of
+signed multiples {d: d*D} (the pair {D, -D}, or the odd multiples and their
+negatives), the digit value never multiplies anything; the bookkeeping is one
+integer flip per group operation.
+
+All six drivers are one walk (_walk) fixed by three choices: which steps are
+fused, the start policy (lookahead parity, or start at f = 0 and negate once
+at the end), and the addend table. ALGORITHMS maps each driver id to its
+default recoding and a runner for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 from .costs import CostLedger, OP_KINDS
 from .groups import Element, NegationAwareGroup
-from .recoding import SignedExpansion, binary_expansion, naf, width_w_naf
+from .recoding import SignedExpansion, recode
 
 MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
 
 MIXED_MODES = ("neg_doubling_only", "neg_addition_only")
-
-ALGORITHM_IDS = ("baseline", "neg", "online", "neg-dbl-only", "neg-add-only", "window")
 
 
 class TraceStep(NamedTuple):
@@ -103,22 +106,79 @@ def _require_unit_digits(e: SignedExpansion) -> None:
                 raise ValueError(f"digits must lie in {{-1, 0, 1}}, got {d}")
 
 
-def _odd_multiples(
-    run: _Run, D: Element, bound: int
-) -> tuple[dict[int, Element], dict[int, Element]]:
-    """Tables r -> r*D and r -> -(r*D) for odd r in [1, bound].
+def _odd_multiples(run: _Run, D: Element, bound: int) -> dict[int, Element]:
+    """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
 
     Chain: 2D once, then successive additions; one negation per entry.
     """
-    positive = {1: D}
+    table = {1: D, -1: run.neg(D)}
     if bound >= 3:
         two_d = run.dbl(D)
         current = D
         for r in range(3, bound + 1, 2):
             current = run.add(current, two_d)
-            positive[r] = current
-    negative = {r: run.neg(p) for r, p in positive.items()}
-    return positive, negative
+            table[r] = current
+            table[-r] = run.neg(current)
+    return table
+
+
+def _walk(
+    e: SignedExpansion,
+    D: Element,
+    group: NegationAwareGroup,
+    trace: bool,
+    *,
+    fuse_dbl: bool,
+    fuse_add: bool,
+    lookahead: bool,
+    table_bound: int | None = None,
+) -> MulResult:
+    """The one left-to-right digit loop every driver runs; e must be nonempty.
+
+    fuse_dbl / fuse_add pick the fused negate-double / negate-add, each of
+    which flips f. With lookahead the walk starts at
+    f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
+    absorbs every flip the loop makes, so the flag closes at 0; without it
+    the walk starts at f = 0 and negates once at the end if the flag closes
+    at 1. table_bound, when given, builds the odd-multiples table up to that
+    digit and reports its cost in table_ledger; otherwise the addends are
+    {D, -D}, with -D stored only when the walk can flip or a digit is negative.
+    """
+    run = _Run(group, trace)
+    digits = e.digits
+    table_ledger = None
+    if table_bound is not None:
+        table = _odd_multiples(run, D, table_bound)
+        table_ledger = run.ledger.copy()
+    elif fuse_dbl or fuse_add or any(d < 0 for d in digits):
+        table = {1: D, -1: run.neg(D)}
+    else:
+        table = {1: D}
+    f = 0
+    if lookahead:
+        if fuse_dbl:
+            f += e.length - 1
+        if fuse_add:
+            f += e.weight - 1
+        f %= 2
+    dbl, dbl_kind = (run.neg_dbl, "neg_dbl") if fuse_dbl else (run.dbl, "dbl")
+    add, add_kind = (run.neg_add, "neg_add") if fuse_add else (run.add, "add")
+    note = run.note
+    E = table[-digits[0] if f else digits[0]]
+    note("init", f, E)
+    for d in digits[1:]:
+        E = dbl(E)
+        f ^= fuse_dbl
+        note(dbl_kind, f, E)
+        if d:
+            E = add(E, table[-d if f else d])
+            f ^= fuse_add
+            note(add_kind, f, E)
+    if f:
+        E = run.neg(E)
+        f = 0
+        note("final_neg", f, E)
+    return MulResult(E, run.ledger, run.trace, table_ledger)
 
 
 def double_and_add(
@@ -135,45 +195,12 @@ def double_and_add(
     comparable; for signed binary digits only -D is precomputed, and only
     when a negative digit actually occurs.
     """
-    run = _Run(group, trace)
     if e.length == 0:
-        return MulResult(group.identity, run.ledger, run.trace)
-    table_ledger = None
-    if e.digit_bound == 1:
-        positive = {1: D}
-        negative = {1: run.neg(D)} if any(d < 0 for d in e.digits) else {}
-    else:
-        positive, negative = _odd_multiples(run, D, e.digit_bound)
-        table_ledger = run.ledger.copy()
-    E = positive[e.digits[0]]
-    run.note("init", 0, E)
-    for d in e.digits[1:]:
-        E = run.dbl(E)
-        run.note("dbl", 0, E)
-        if d:
-            E = run.add(E, positive[d] if d > 0 else negative[-d])
-            run.note("add", 0, E)
-    return MulResult(E, run.ledger, run.trace, table_ledger)
-
-
-def _fused_digit_loop(
-    run: _Run,
-    e: SignedExpansion,
-    plus_d: Element,
-    minus_d: Element,
-    E: Element,
-    f: int,
-) -> tuple[Element, int]:
-    for d in e.digits[1:]:
-        E = run.neg_dbl(E)
-        f = 1 - f
-        run.note("neg_dbl", f, E)
-        if d:
-            addend = plus_d if (d > 0) == (f == 0) else minus_d
-            E = run.neg_add(E, addend)
-            f = 1 - f
-            run.note("neg_add", f, E)
-    return E, f
+        return MulResult(group.identity, CostLedger(), [] if trace else None)
+    bound = e.digit_bound if e.digit_bound > 1 else None
+    return _walk(
+        e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
+    )
 
 
 def neg_scalar_mul(
@@ -192,13 +219,7 @@ def neg_scalar_mul(
     top of the single negation that stores -D.
     """
     _require_unit_digits(e)
-    run = _Run(group, trace)
-    minus_d = run.neg(D)
-    f = (e.length + e.weight) % 2
-    E = minus_d if f else D
-    run.note("init", f, E)
-    E, f = _fused_digit_loop(run, e, D, minus_d, E, f)
-    return MulResult(E, run.ledger, run.trace)
+    return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=True)
 
 
 def neg_scalar_mul_online(
@@ -216,16 +237,7 @@ def neg_scalar_mul_online(
     happens for about half of all scalars.
     """
     _require_unit_digits(e)
-    run = _Run(group, trace)
-    minus_d = run.neg(D)
-    E, f = D, 0
-    run.note("init", f, E)
-    E, f = _fused_digit_loop(run, e, D, minus_d, E, f)
-    if f:
-        E = run.neg(E)
-        f = 0
-        run.note("final_neg", f, E)
-    return MulResult(E, run.ledger, run.trace)
+    return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False)
 
 
 def mixed_scalar_mul(
@@ -249,30 +261,8 @@ def mixed_scalar_mul(
     if mode not in MIXED_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MIXED_MODES}")
     _require_unit_digits(e)
-    run = _Run(group, trace)
-    minus_d = run.neg(D)
     fuse_dbl = mode == "neg_doubling_only"
-    f = (e.length - 1) % 2 if fuse_dbl else (e.weight - 1) % 2
-    E = minus_d if f else D
-    run.note("init", f, E)
-    for d in e.digits[1:]:
-        if fuse_dbl:
-            E = run.neg_dbl(E)
-            f = 1 - f
-            run.note("neg_dbl", f, E)
-        else:
-            E = run.dbl(E)
-            run.note("dbl", f, E)
-        if d:
-            addend = D if (d > 0) == (f == 0) else minus_d
-            if fuse_dbl:
-                E = run.add(E, addend)
-                run.note("add", f, E)
-            else:
-                E = run.neg_add(E, addend)
-                f = 1 - f
-                run.note("neg_add", f, E)
-    return MulResult(E, run.ledger, run.trace)
+    return _walk(e, D, group, trace, fuse_dbl=fuse_dbl, fuse_add=not fuse_dbl, lookahead=True)
 
 
 def windowed_neg_scalar_mul(
@@ -298,25 +288,36 @@ def windowed_neg_scalar_mul(
     for d in e.digits:
         if d and (abs(d) > bound or d % 2 == 0):
             raise ValueError(f"digit {d} outside the width-{w} table range")
-    run = _Run(group, trace)
-    positive, negative = _odd_multiples(run, D, bound)
-    table_ledger = run.ledger.copy()
-    E, f = positive[e.digits[0]], 0
-    run.note("init", f, E)
-    for d in e.digits[1:]:
-        E = run.neg_dbl(E)
-        f = 1 - f
-        run.note("neg_dbl", f, E)
-        if d:
-            s = d if f == 0 else -d
-            E = run.neg_add(E, positive[s] if s > 0 else negative[-s])
-            f = 1 - f
-            run.note("neg_add", f, E)
-    if f:
-        E = run.neg(E)
-        f = 0
-        run.note("final_neg", f, E)
-    return MulResult(E, run.ledger, run.trace, table_ledger)
+    return _walk(
+        e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=bound
+    )
+
+
+class Algorithm(NamedTuple):
+    """A driver id's default recoding form and its runner (e, D, group, width, trace)."""
+
+    form: str
+    run: Callable[[SignedExpansion, Element, NegationAwareGroup, int, bool], MulResult]
+
+
+# Each runner looks its driver up by global name at call time, so rebinding a
+# driver here (to wrap or trace it) reaches every caller of the registry.
+ALGORITHMS: dict[str, Algorithm] = {
+    "baseline": Algorithm("binary", lambda e, D, g, w, t: double_and_add(e, D, g, trace=t)),
+    "neg": Algorithm("naf", lambda e, D, g, w, t: neg_scalar_mul(e, D, g, trace=t)),
+    "online": Algorithm("naf", lambda e, D, g, w, t: neg_scalar_mul_online(e, D, g, trace=t)),
+    "neg-dbl-only": Algorithm(
+        "naf", lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
+    ),
+    "neg-add-only": Algorithm(
+        "naf", lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
+    ),
+    "window": Algorithm(
+        "wnaf", lambda e, D, g, w, t: windowed_neg_scalar_mul(e, D, g, w, trace=t)
+    ),
+}
+
+ALGORITHM_IDS = tuple(ALGORITHMS)
 
 
 def scalar_mul(
@@ -337,8 +338,10 @@ def scalar_mul(
     (binary for the baseline, naf for the negating ones, when unspecified);
     the windowed driver always uses the width-`width` NAF.
     """
-    if algo not in ALGORITHM_IDS:
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"scalar must be an integer, got {m!r}")
     head: CostLedger | None = None
     if m < 0:
         head = CostLedger()
@@ -348,34 +351,11 @@ def scalar_mul(
         return MulResult(group.identity, head or CostLedger())
     if m == 1:
         return MulResult(D, head or CostLedger())
-    e = _recode_for(m, algo, form, width)
-    if algo == "baseline":
-        result = double_and_add(e, D, group, trace=trace)
-    elif algo == "neg":
-        result = neg_scalar_mul(e, D, group, trace=trace)
-    elif algo == "online":
-        result = neg_scalar_mul_online(e, D, group, trace=trace)
-    elif algo == "neg-dbl-only":
-        result = mixed_scalar_mul(e, D, group, "neg_doubling_only", trace=trace)
-    elif algo == "neg-add-only":
-        result = mixed_scalar_mul(e, D, group, "neg_addition_only", trace=trace)
-    else:
-        result = windowed_neg_scalar_mul(e, D, group, width, trace=trace)
+    default_form, run = ALGORITHMS[algo]
+    if form is None or algo == "window":
+        form = default_form
+    result = run(recode(m, form, width), D, group, width, trace)
     if head is not None:
         head.merge(result.ledger)
         result.ledger = head
     return result
-
-
-def _recode_for(m: int, algo: str, form: str | None, width: int) -> SignedExpansion:
-    if algo == "window":
-        return width_w_naf(m, width)
-    if form is None:
-        form = "binary" if algo == "baseline" else "naf"
-    if form == "binary":
-        return binary_expansion(m)
-    if form == "naf":
-        return naf(m)
-    if form == "wnaf":
-        return width_w_naf(m, width)
-    raise ValueError(f"unknown recoding form {form!r}; expected binary, naf or wnaf")

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import CostRatios, CostVector, weighted_total
+from .costs import CostRatios, CostVector
 from .groups import Element, NegationAwareGroup
 
 
@@ -71,15 +71,19 @@ class CostProfile:
 
     def __post_init__(self) -> None:
         # Fusing the negation should never price above the two-step form; a
-        # profile violating that is suspicious but still usable.
+        # profile violating that is suspicious but still usable. Comparing
+        # counts componentwise flags only what is dearer at every ratio.
         for plain, fused, label in (
             (self.add_cost, self.neg_add_cost, "neg_add"),
             (self.dbl_cost, self.neg_dbl_cost, "neg_dbl"),
         ):
-            if weighted_total(fused) > weighted_total(plain) + weighted_total(self.neg_cost):
+            unfused = plain + self.neg_cost
+            if fused != unfused and all(
+                a >= b for a, b in zip(astuple(fused), astuple(unfused))
+            ):
                 warnings.warn(
                     f"cost profile {self.name!r}: {label} is dearer than the unfused "
-                    "operation plus a negation at the default ratios"
+                    "operation plus a negation, counting every field operation"
                 )
 
     def cost_of(self, kind: str) -> CostVector:

@@ -15,13 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import (
-    double_and_add,
-    mixed_scalar_mul,
-    neg_scalar_mul,
-    neg_scalar_mul_online,
-    windowed_neg_scalar_mul,
-)
+from .algorithms import ALGORITHMS
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     DEFAULT_RATIOS,
@@ -32,14 +26,12 @@ from .costs import (
     savings_percent,
     weighted_total,
 )
-from .recoding import binary_expansion, naf, width_w_naf
+from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
 # Element values never matter for costs; a Mersenne prime keeps them word sized.
 BENCH_MODULUS = (1 << 61) - 1
 
 MIN_BITS, MAX_BITS = 8, 4096
-
-RECODING_FORMS = ("binary", "naf", "wnaf")
 
 
 def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
@@ -205,6 +197,7 @@ def run_bench(
     group = CostChargingGroup(ModularGroup(BENCH_MODULUS), profile)
     algo_ids = algorithms_for_form(form)
     totals = {algo: CostLedger() for algo in algo_ids}
+    runs = [(totals[algo], ALGORITHMS[algo].run) for algo in algo_ids]
     for m in scalars:
         if form == "binary":
             e = binary_expansion(m)
@@ -212,8 +205,8 @@ def run_bench(
             e = naf(m)
         else:
             e = width_w_naf(m, width)
-        for algo in algo_ids:
-            totals[algo].merge(_drive(algo, e, group, width))
+        for total, run in runs:
+            total.merge(run(e, 1, group, width, False).ledger)
     base_total = weighted_total(totals["baseline"].total(), ratios)
     entries = []
     for algo in algo_ids:
@@ -235,20 +228,6 @@ def run_bench(
         per_step=per_step,
         algorithms=tuple(entries),
     )
-
-
-def _drive(algo: str, e, group, width: int) -> CostLedger:
-    if algo == "baseline":
-        return double_and_add(e, 1, group).ledger
-    if algo == "neg":
-        return neg_scalar_mul(e, 1, group).ledger
-    if algo == "online":
-        return neg_scalar_mul_online(e, 1, group).ledger
-    if algo == "neg-dbl-only":
-        return mixed_scalar_mul(e, 1, group, "neg_doubling_only").ledger
-    if algo == "neg-add-only":
-        return mixed_scalar_mul(e, 1, group, "neg_addition_only").ledger
-    return windowed_neg_scalar_mul(e, 1, group, width).ledger
 
 
 def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:

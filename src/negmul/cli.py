@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from .algorithms import ALGORITHM_IDS, scalar_mul
 from .backends import ModularGroup, load_profile, preset
-from .bench import MAX_BITS, MIN_BITS, RECODING_FORMS, run_bench
+from .bench import MAX_BITS, MIN_BITS, run_bench
 from .costs import DEFAULT_RATIOS, OP_KINDS, CostRatios
-from .recoding import binary_expansion, naf, width_w_naf
+from .recoding import RECODING_FORMS, recode
 from .verify import MAX_VERIFY_N, verify_universal_agreement
 
 
@@ -133,12 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_recode(args: argparse.Namespace) -> int:
-    if args.form == "binary":
-        e = binary_expansion(args.scalar)
-    elif args.form == "naf":
-        e = naf(args.scalar)
-    else:
-        e = width_w_naf(args.scalar, args.width)
+    e = recode(args.scalar, args.form, args.width)
     digits = " ".join(str(d) for d in e.digits) if e.length else "(empty)"
     print(f"{digits}, l={e.length}, w={e.weight}")
     return 0

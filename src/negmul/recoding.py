@@ -7,11 +7,14 @@ nonadjacent form (NAF: digits in {-1, 0, 1}, no two adjacent nonzeros, the
 unique such expansion and the sparsest signed binary one), and the width-w
 NAF whose odd digits of magnitude below 2**(w-1) pair with a precomputed
 table of odd multiples. Zero always recodes to the empty expansion.
+recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+RECODING_FORMS = ("binary", "naf", "wnaf")
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,17 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
         m >>= 1
     digits.reverse()
     return SignedExpansion(tuple(digits), half - 1)
+
+
+def recode(m: int, form: str, width: int) -> SignedExpansion:
+    """m in the named recoding form; width applies to wnaf only."""
+    if form == "binary":
+        return binary_expansion(m)
+    if form == "naf":
+        return naf(m)
+    if form == "wnaf":
+        return width_w_naf(m, width)
+    raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
 
 
 def _require_nonnegative(m: int) -> None:

@@ -5,16 +5,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .algorithms import (
-    double_and_add,
-    mixed_scalar_mul,
-    neg_scalar_mul,
-    neg_scalar_mul_online,
-    windowed_neg_scalar_mul,
-)
+from .algorithms import ALGORITHMS
 from .backends import ModularGroup
 from .groups import NegationAwareGroup
-from .recoding import SignedExpansion, binary_expansion, naf, width_w_naf
+from .recoding import recode
 
 VERIFY_PRIMES = (5, 7, 11, 31, 97)
 
@@ -35,37 +29,26 @@ class Mismatch(NamedTuple):
 def default_verify_algorithms(widths: tuple[int, ...] = (2, 3, 4)) -> dict[str, Driver]:
     """Drivers keyed by id, each mapping (m, D, group) to the computed product.
 
-    Recodings are cached across calls, so exhaustive sweeps recode each
-    scalar once per form no matter how many moduli and bases they cover.
+    Every ALGORITHMS id runs on its default recoding, the windowed one once
+    per width. Recodings are cached across calls, so exhaustive sweeps recode
+    each scalar once per form no matter how many moduli and bases they cover.
     """
-    bin_of = lru_cache(maxsize=None)(binary_expansion)
-    naf_of = lru_cache(maxsize=None)(naf)
-    wnaf_of = lru_cache(maxsize=None)(width_w_naf)
+    recode_of = lru_cache(maxsize=None)(recode)
 
-    def driver(recode: Callable[[int], SignedExpansion], compute) -> Driver:
-        def run(m: int, D: int, group: NegationAwareGroup) -> int:
+    def driver(algo: str, width: int) -> Driver:
+        form, run = ALGORITHMS[algo]
+
+        def drive(m: int, D: int, group: NegationAwareGroup) -> int:
             if m == 0:
                 return group.identity
-            return compute(recode(m), D, group)
+            return run(recode_of(m, form, width), D, group, width, False).element
 
-        return run
+        return drive
 
-    algorithms: dict[str, Driver] = {
-        "baseline": driver(bin_of, lambda e, D, g: double_and_add(e, D, g).element),
-        "neg": driver(naf_of, lambda e, D, g: neg_scalar_mul(e, D, g).element),
-        "online": driver(naf_of, lambda e, D, g: neg_scalar_mul_online(e, D, g).element),
-        "neg-dbl-only": driver(
-            naf_of, lambda e, D, g: mixed_scalar_mul(e, D, g, "neg_doubling_only").element
-        ),
-        "neg-add-only": driver(
-            naf_of, lambda e, D, g: mixed_scalar_mul(e, D, g, "neg_addition_only").element
-        ),
-    }
+    # the width reaches only the windowed driver; the others ignore it
+    algorithms = {algo: driver(algo, 4) for algo in ALGORITHMS if algo != "window"}
     for w in widths:
-        algorithms[f"window-w{w}"] = driver(
-            lambda m, w=w: wnaf_of(m, w),
-            lambda e, D, g, w=w: windowed_neg_scalar_mul(e, D, g, w).element,
-        )
+        algorithms[f"window-w{w}"] = driver("window", w)
     return algorithms
 
 

@@ -2,6 +2,30 @@
 
 from collections import defaultdict
 
+from negmul import NegationAwareGroup
+
+
+class IntegerGroup(NegationAwareGroup):
+    """The free group Z; neg_add and neg_dbl come from the base class.
+
+    The drivers branch on digits, never on element values, so a run with
+    D = 1 here returns the integer coefficient the driver actually computed:
+    it equals m exactly when the product is right in every group at once.
+    """
+
+    @property
+    def identity(self):
+        return 0
+
+    def add(self, a, b):
+        return a + b
+
+    def dbl(self, a):
+        return 2 * a
+
+    def neg(self, a):
+        return -a
+
 
 def nonadjacent_expansions(max_len):
     """All digit strings over {-1, 0, 1} with leading digit +1, no two adjacent

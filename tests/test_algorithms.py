@@ -6,6 +6,7 @@ import pytest
 
 from negmul import (
     ALGORITHM_IDS,
+    ALGORITHMS,
     CostVector,
     ModularGroup,
     PICARD_PROFILE,
@@ -23,7 +24,7 @@ from negmul import (
     windowed_neg_scalar_mul,
 )
 
-from oracles import walk_sign_invariant
+from oracles import IntegerGroup, walk_sign_invariant
 
 
 def counts(ledger):
@@ -279,6 +280,9 @@ def test_scalar_mul_entry_special_cases():
         assert counts(res.ledger) == {}
         res = scalar_mul(25, 1, g, algo, width=3)
         assert res.element == 25
+        for bad in (True, False, 1.0, 0.0, -1.0, -2.0):
+            with pytest.raises(ValueError, match=f"scalar must be an integer, got {bad!r}$"):
+                scalar_mul(bad, 7, g, algo)
 
 
 def test_scalar_mul_entry_negative_scalar():
@@ -310,6 +314,17 @@ def test_scalar_mul_entry_rejects_unknown_selectors():
         scalar_mul(5, 1, g, "ladder")
     with pytest.raises(ValueError, match="unknown recoding form"):
         scalar_mul(5, 1, g, "neg", form="base3")
+
+
+def test_every_algorithm_computes_exact_coefficients_in_the_free_group():
+    g = IntegerGroup()
+    rng = random.Random(2003)
+    scalars = list(range(1, 1 << 12)) + [rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
+    runs = [(algo, 4) for algo in ALGORITHMS if algo != "window"]
+    runs += [("window", w) for w in range(2, 7)]
+    for algo, width in runs:
+        for m in scalars:
+            assert scalar_mul(m, 1, g, algo, width=width).element == m, (algo, width, m)
 
 
 def test_universal_agreement_small():

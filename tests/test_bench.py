@@ -1,5 +1,6 @@
 """Tests for the deterministic cost-benchmark harness."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -138,3 +139,16 @@ def test_ratio_override_changes_per_step_savings():
     assert report.per_step["add"].plain == 352
     assert report.per_step["add"].fused == 339
     assert report.per_step["add"].savings == savings_percent(352, 339)
+
+
+@pytest.mark.parametrize(
+    "form, width, digest",
+    [
+        ("binary", 4, "7f1c5fdf521536d92e6d9b96a7a28e10d5bfb1ec8521bdb8427f4d61ed73ae3c"),
+        ("naf", 4, "86bf6629e15115c2f48a017c9f160a55b7b02cebbfd343c78d8032bbd1404631"),
+        ("wnaf", 5, "3c0a19b7b4da96d1e4bfe9ee6aa50f578fe3ad4185c6ddd6a1fb205204ee11da"),
+    ],
+)
+def test_report_json_is_pinned_for_seed_0(form, width, digest):
+    text = run_bench(PICARD_PROFILE, bits=96, samples=200, seed=0, form=form, width=width).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -167,6 +167,19 @@ def test_profile_warns_when_fused_is_dearer():
         )
 
 
+def test_profile_does_not_warn_when_fused_is_cheaper_at_some_ratios(recwarn):
+    # 5M + 9S is dearer than 10M at the default 2/3 but cheaper at 1/10
+    CostProfile(
+        "cheap-squarings",
+        add_cost=CostVector(10),
+        dbl_cost=CostVector(10),
+        neg_cost=ZERO_COST,
+        neg_add_cost=CostVector(mul=5, sqr=9),
+        neg_dbl_cost=CostVector(10),
+    )
+    assert not [w for w in recwarn if "dearer" in str(w.message)]
+
+
 VALID_PROFILE = {
     "add": {"M": 144, "S": 12, "I": 2},
     "dbl": {"M": 158, "S": 16, "I": 2},
