@@ -41,7 +41,7 @@ from .costs import (
     savings_percent,
     weighted_total,
 )
-from .groups import NegationAwareGroup
+from .groups import NegationAwareGroup, prices_of
 from .recoding import RECODING_FORMS, SignedExpansion, binary_expansion, naf, recode, width_w_naf
 from .verify import (
     MAX_VERIFY_N,
@@ -87,6 +87,7 @@ __all__ = [
     "neg_scalar_mul",
     "neg_scalar_mul_online",
     "preset",
+    "prices_of",
     "recode",
     "run_bench",
     "sample_scalars",

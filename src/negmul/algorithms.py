@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
 
-from .costs import CostLedger, OP_KINDS
-from .groups import Element, NegationAwareGroup
-from .recoding import SignedExpansion, recode
+from .costs import CostLedger
+from .groups import Element, NegationAwareGroup, prices_of
+from .recoding import RECODING_FORMS, SignedExpansion, recode
 
 MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
 
@@ -55,42 +55,6 @@ class MulResult:
     table_ledger: CostLedger | None = None
 
 
-class _Run:
-    """Per-run recorder: forwards operations to the group and tallies them."""
-
-    __slots__ = ("group", "ledger", "trace", "_price")
-
-    def __init__(self, group: NegationAwareGroup, trace: bool) -> None:
-        self.group = group
-        self.ledger = CostLedger()
-        self.trace: list[TraceStep] | None = [] if trace else None
-        self._price = {kind: group.cost_of(kind) for kind in OP_KINDS}
-
-    def add(self, a: Element, b: Element) -> Element:
-        self.ledger.charge("add", self._price["add"])
-        return self.group.add(a, b)
-
-    def dbl(self, a: Element) -> Element:
-        self.ledger.charge("dbl", self._price["dbl"])
-        return self.group.dbl(a)
-
-    def neg(self, a: Element) -> Element:
-        self.ledger.charge("neg", self._price["neg"])
-        return self.group.neg(a)
-
-    def neg_add(self, a: Element, b: Element) -> Element:
-        self.ledger.charge("neg_add", self._price["neg_add"])
-        return self.group.neg_add(a, b)
-
-    def neg_dbl(self, a: Element) -> Element:
-        self.ledger.charge("neg_dbl", self._price["neg_dbl"])
-        return self.group.neg_dbl(a)
-
-    def note(self, kind: str, f: int, element: Element) -> None:
-        if self.trace is not None:
-            self.trace.append(TraceStep(kind, f, element))
-
-
 def _require_nonempty(e: SignedExpansion) -> None:
     if e.length == 0:
         raise ValueError("empty expansion: map m = 0 to the identity before dispatching")
@@ -106,20 +70,26 @@ def _require_unit_digits(e: SignedExpansion) -> None:
                 raise ValueError(f"digits must lie in {{-1, 0, 1}}, got {d}")
 
 
-def _odd_multiples(run: _Run, D: Element, bound: int) -> dict[int, Element]:
-    """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
+def _odd_multiples(
+    D: Element, group: NegationAwareGroup, bound: int
+) -> tuple[dict[int, Element], CostLedger]:
+    """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound], and its ledger.
 
     Chain: 2D once, then successive additions; one negation per entry.
     """
-    table = {1: D, -1: run.neg(D)}
+    ledger = CostLedger(prices_of(group))
+    table = {1: D, -1: group.neg(D)}
     if bound >= 3:
-        two_d = run.dbl(D)
+        two_d = group.dbl(D)
         current = D
         for r in range(3, bound + 1, 2):
-            current = run.add(current, two_d)
+            current = group.add(current, two_d)
             table[r] = current
-            table[-r] = run.neg(current)
-    return table
+            table[-r] = group.neg(current)
+        ledger.charge("dbl")
+        ledger.charge("add", len(table) // 2 - 1)
+    ledger.charge("neg", len(table) // 2)
+    return table, ledger
 
 
 def _walk(
@@ -143,42 +113,52 @@ def _walk(
     at 1. table_bound, when given, builds the odd-multiples table up to that
     digit and reports its cost in table_ledger; otherwise the addends are
     {D, -D}, with -D stored only when the walk can flip or a digit is negative.
+    The loop calls the group directly; the ledger counts each kind once per
+    run: the table, length - 1 doublings, weight - 1 additions and the
+    closing negation, if any.
     """
-    run = _Run(group, trace)
     digits = e.digits
     table_ledger = None
     if table_bound is not None:
-        table = _odd_multiples(run, D, table_bound)
-        table_ledger = run.ledger.copy()
-    elif fuse_dbl or fuse_add or any(d < 0 for d in digits):
-        table = {1: D, -1: run.neg(D)}
+        table, table_ledger = _odd_multiples(D, group, table_bound)
+        ledger = table_ledger.copy()
     else:
-        table = {1: D}
+        ledger = CostLedger(prices_of(group))
+        if fuse_dbl or fuse_add or any(d < 0 for d in digits):
+            table = {1: D, -1: group.neg(D)}
+            ledger.charge("neg")
+        else:
+            table = {1: D}
+    doublings = len(digits) - 1
+    additions = doublings - digits.count(0)
     f = 0
     if lookahead:
-        if fuse_dbl:
-            f += e.length - 1
-        if fuse_add:
-            f += e.weight - 1
-        f %= 2
-    dbl, dbl_kind = (run.neg_dbl, "neg_dbl") if fuse_dbl else (run.dbl, "dbl")
-    add, add_kind = (run.neg_add, "neg_add") if fuse_add else (run.add, "add")
-    note = run.note
+        f = (doublings * fuse_dbl + additions * fuse_add) % 2
+    dbl, dbl_kind = (group.neg_dbl, "neg_dbl") if fuse_dbl else (group.dbl, "dbl")
+    add, add_kind = (group.neg_add, "neg_add") if fuse_add else (group.add, "add")
+    steps: list[TraceStep] | None = [] if trace else None
     E = table[-digits[0] if f else digits[0]]
-    note("init", f, E)
+    if steps is not None:
+        steps.append(TraceStep("init", f, E))
     for d in digits[1:]:
         E = dbl(E)
         f ^= fuse_dbl
-        note(dbl_kind, f, E)
+        if steps is not None:
+            steps.append(TraceStep(dbl_kind, f, E))
         if d:
             E = add(E, table[-d if f else d])
             f ^= fuse_add
-            note(add_kind, f, E)
+            if steps is not None:
+                steps.append(TraceStep(add_kind, f, E))
+    ledger.charge(dbl_kind, doublings)
+    ledger.charge(add_kind, additions)
     if f:
-        E = run.neg(E)
+        E = group.neg(E)
+        ledger.charge("neg")
         f = 0
-        note("final_neg", f, E)
-    return MulResult(E, run.ledger, run.trace, table_ledger)
+        if steps is not None:
+            steps.append(TraceStep("final_neg", f, E))
+    return MulResult(E, ledger, steps, table_ledger)
 
 
 def double_and_add(
@@ -196,7 +176,7 @@ def double_and_add(
     when a negative digit actually occurs.
     """
     if e.length == 0:
-        return MulResult(group.identity, CostLedger(), [] if trace else None)
+        return MulResult(group.identity, CostLedger(prices_of(group)), [] if trace else None)
     bound = e.digit_bound if e.digit_bound > 1 else None
     return _walk(
         e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
@@ -333,29 +313,27 @@ def scalar_mul(
     """Recode m as the chosen driver requires and run it.
 
     Handles what the drivers refuse: m = 0 returns the identity, m = 1
-    returns D, and a negative m negates the base first (one charged
-    negation). `form` picks the recoding for the non-windowed drivers
-    (binary for the baseline, naf for the negating ones, when unspecified);
-    the windowed driver always uses the width-`width` NAF.
+    returns D, and a negative m negates the base first (one counted
+    negation). `form` picks the recoding (binary for the baseline, naf for
+    the other {-1, 0, 1} drivers, when unspecified); the windowed driver
+    runs on the width-`width` NAF only, so any other form is an error.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"scalar must be an integer, got {m!r}")
-    head: CostLedger | None = None
-    if m < 0:
-        head = CostLedger()
-        head.charge("neg", group.cost_of("neg"))
-        m, D = -m, group.neg(D)
-    if m == 0:
-        return MulResult(group.identity, head or CostLedger())
-    if m == 1:
-        return MulResult(D, head or CostLedger())
+    if form is not None and form not in RECODING_FORMS:
+        raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
     default_form, run = ALGORITHMS[algo]
-    if form is None or algo == "window":
-        form = default_form
-    result = run(recode(m, form, width), D, group, width, trace)
-    if head is not None:
-        head.merge(result.ledger)
-        result.ledger = head
+    if algo == "window" and form not in (None, default_form):
+        raise ValueError(f"algorithm 'window' runs on form {default_form!r} only, got {form!r}")
+    ledger = CostLedger(prices_of(group))
+    if m < 0:
+        ledger.charge("neg")
+        m, D = -m, group.neg(D)
+    if m <= 1:
+        return MulResult(D if m else group.identity, ledger)
+    result = run(recode(m, form or default_form, width), D, group, width, trace)
+    ledger.merge(result.ledger)
+    result.ledger = ledger
     return result

@@ -31,14 +31,6 @@ class ModularGroup(NegationAwareGroup):
     def identity(self) -> int:
         return 0
 
-    @property
-    def order(self) -> int:
-        return self.n
-
-    def elements(self) -> range:
-        """All residues, for exhaustive checks."""
-        return range(self.n)
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.n
 
@@ -218,7 +210,7 @@ class CostChargingGroup(NegationAwareGroup):
     """Wraps another group: identical element math, costs priced by a profile.
 
     Results are exactly the inner group's; only cost_of changes, so ledgers
-    recorded against this group carry the profile's field-operation counts.
+    opened against this group price their counts at the profile.
     """
 
     __slots__ = ("inner", "profile")
@@ -230,10 +222,6 @@ class CostChargingGroup(NegationAwareGroup):
     @property
     def identity(self) -> Element:
         return self.inner.identity
-
-    @property
-    def order(self) -> int | None:
-        return self.inner.order
 
     def add(self, a: Element, b: Element) -> Element:
         return self.inner.add(a, b)

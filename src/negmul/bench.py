@@ -26,6 +26,7 @@ from .costs import (
     savings_percent,
     weighted_total,
 )
+from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
 # Element values never matter for costs; a Mersenne prime keeps them word sized.
@@ -196,7 +197,7 @@ def run_bench(
     scalars = sample_scalars(bits, samples, seed)
     group = CostChargingGroup(ModularGroup(BENCH_MODULUS), profile)
     algo_ids = algorithms_for_form(form)
-    totals = {algo: CostLedger() for algo in algo_ids}
+    totals = {algo: CostLedger(prices_of(group)) for algo in algo_ids}
     runs = [(totals[algo], ALGORITHMS[algo].run) for algo in algo_ids]
     for m in scalars:
         if form == "binary":

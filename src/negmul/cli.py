@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--form",
         choices=RECODING_FORMS,
         default=None,
-        help="recoding override for the non-window drivers",
+        help="recoding override; the window driver takes wnaf only",
     )
     mul.add_argument("--width", type=_width_arg, default=4)
     mul.set_defaults(func=cmd_mul, parser=mul)
@@ -141,7 +141,10 @@ def cmd_recode(args: argparse.Namespace) -> int:
 
 def cmd_mul(args: argparse.Namespace) -> int:
     group = ModularGroup(args.n)
-    result = scalar_mul(args.scalar, 1, group, args.algo, form=args.form, width=args.width)
+    try:
+        result = scalar_mul(args.scalar, 1, group, args.algo, form=args.form, width=args.width)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     print(result.element)
     print("ops: " + " ".join(f"{kind}={result.ledger.count(kind)}" for kind in OP_KINDS))
     return 0

@@ -3,15 +3,17 @@
 Costs are tallied in the four classical formula-count units: field
 multiplications (M), squarings (S), inversions (I), and field additions (A).
 A CostVector counts them, CostRatios collapses a vector into M-equivalents,
-and a CostLedger records what one scalar-multiplication run actually did.
-Totals and percentages stay in fractions.Fraction throughout, so every
-derived figure is exact and comparisons in tests need no tolerance.
+and a CostLedger counts the group operations one scalar-multiplication run
+actually did, pricing them on read. Totals and percentages stay in
+fractions.Fraction throughout, so every derived figure is exact and
+comparisons in tests need no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
@@ -48,9 +50,6 @@ class CostVector:
         if k < 0:
             raise ValueError(f"scale factor must be nonnegative, got {k}")
         return CostVector(k * self.mul, k * self.sqr, k * self.inv, k * self.add_f)
-
-    def __bool__(self) -> bool:
-        return bool(self.mul or self.sqr or self.inv or self.add_f)
 
 
 ZERO_COST = CostVector()
@@ -98,30 +97,35 @@ def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
 
 
 class CostLedger:
-    """Mutable per-run tally: how often each operation kind ran and what it cost.
+    """Mutable per-run tally of how often each operation kind ran, priced on read.
 
-    A ledger belongs to exactly one scalar-multiplication run; disjoint runs
-    keep disjoint ledgers and may be merged afterwards, in any order.
+    A ledger is opened with one price per operation kind ({kind: CostVector},
+    zero cost when none is given) and only counts; the cost of a kind is its
+    price scaled by its count. A ledger belongs to exactly one
+    scalar-multiplication run; disjoint runs at the same prices keep disjoint
+    ledgers and may be merged afterwards, in any order.
     """
 
-    __slots__ = ("_counts", "_sums")
+    __slots__ = ("_counts", "_prices")
 
-    def __init__(self) -> None:
+    def __init__(self, prices: Mapping[str, CostVector] | None = None) -> None:
         self._counts = dict.fromkeys(OP_KINDS, 0)
-        self._sums = {kind: [0, 0, 0, 0] for kind in OP_KINDS}
+        if prices is None:
+            self._prices = dict.fromkeys(OP_KINDS, ZERO_COST)
+        else:
+            try:
+                self._prices = {kind: prices[kind] for kind in OP_KINDS}
+            except KeyError as exc:
+                raise ValueError(f"no price for operation kind {exc.args[0]!r}") from None
 
-    def charge(self, kind: str, cost: CostVector) -> None:
-        """Record one invocation of `kind` at the given cost."""
+    def charge(self, kind: str, times: int = 1) -> None:
+        """Record `times` more invocations of `kind`."""
+        if not isinstance(times, int) or isinstance(times, bool) or times < 0:
+            raise ValueError(f"times must be a nonnegative integer, got {times!r}")
         try:
-            self._counts[kind] += 1
+            self._counts[kind] += times
         except KeyError:
             raise ValueError(f"unknown operation kind: {kind!r}") from None
-        if cost:
-            acc = self._sums[kind]
-            acc[0] += cost.mul
-            acc[1] += cost.sqr
-            acc[2] += cost.inv
-            acc[3] += cost.add_f
 
     def count(self, kind: str) -> int:
         if kind not in self._counts:
@@ -132,47 +136,33 @@ class CostLedger:
         return dict(self._counts)
 
     def vector(self, kind: str) -> CostVector:
-        if kind not in self._sums:
-            raise ValueError(f"unknown operation kind: {kind!r}")
-        return CostVector(*self._sums[kind])
+        """What the `kind` invocations cost: its price times its count."""
+        count = self.count(kind)
+        return self._prices[kind].scaled(count)
 
     def total(self) -> CostVector:
         """Componentwise sum over all operation kinds."""
-        mul = sqr = inv = add_f = 0
-        for acc in self._sums.values():
-            mul += acc[0]
-            sqr += acc[1]
-            inv += acc[2]
-            add_f += acc[3]
-        return CostVector(mul, sqr, inv, add_f)
+        return sum((self.vector(kind) for kind in OP_KINDS), ZERO_COST)
 
     def total_weighted(self, ratios: CostRatios = DEFAULT_RATIOS) -> Fraction:
         return weighted_total(self.total(), ratios)
 
     def merge(self, other: CostLedger) -> None:
-        """Fold another run's tallies into this ledger."""
+        """Fold another run's counts into this ledger; both must share prices."""
+        if other._prices != self._prices:
+            raise ValueError("cannot merge ledgers opened at different prices")
         for kind in OP_KINDS:
             self._counts[kind] += other._counts[kind]
-            acc, oacc = self._sums[kind], other._sums[kind]
-            for j in range(4):
-                acc[j] += oacc[j]
 
     def copy(self) -> CostLedger:
-        dup = CostLedger()
+        dup = CostLedger(self._prices)
         dup.merge(self)
-        return dup
-
-    def __add__(self, other: CostLedger) -> CostLedger:
-        if not isinstance(other, CostLedger):
-            return NotImplemented
-        dup = self.copy()
-        dup.merge(other)
         return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostLedger):
             return NotImplemented
-        return self._counts == other._counts and self._sums == other._sums
+        return self._counts == other._counts and self._prices == other._prices
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{kind}={self._counts[kind]}" for kind in OP_KINDS if self._counts[kind])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-from .costs import CostVector, ZERO_COST
+from .costs import OP_KINDS, ZERO_COST, CostVector
 
 Element = Any
 
@@ -53,7 +53,7 @@ class NegationAwareGroup(ABC):
         """
         return ZERO_COST
 
-    @property
-    def order(self) -> int | None:
-        """Group order when known, else None. The drivers never require it."""
-        return None
+
+def prices_of(group: NegationAwareGroup) -> dict[str, CostVector]:
+    """The group's cost_of for every operation kind: the prices its ledgers open with."""
+    return {kind: group.cost_of(kind) for kind in OP_KINDS}

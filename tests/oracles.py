@@ -2,7 +2,7 @@
 
 from collections import defaultdict
 
-from negmul import NegationAwareGroup
+from negmul import OP_KINDS, NegationAwareGroup
 
 
 class IntegerGroup(NegationAwareGroup):
@@ -25,6 +25,42 @@ class IntegerGroup(NegationAwareGroup):
 
     def neg(self, a):
         return -a
+
+
+class CountingGroup(NegationAwareGroup):
+    """IntegerGroup that tallies the calls it receives, per operation kind.
+
+    A fused call counts once, as itself: the inner group composes it from
+    add/dbl and neg out of sight of the tally.
+    """
+
+    def __init__(self):
+        self.inner = IntegerGroup()
+        self.calls = dict.fromkeys(OP_KINDS, 0)
+
+    @property
+    def identity(self):
+        return self.inner.identity
+
+    def add(self, a, b):
+        self.calls["add"] += 1
+        return self.inner.add(a, b)
+
+    def dbl(self, a):
+        self.calls["dbl"] += 1
+        return self.inner.dbl(a)
+
+    def neg(self, a):
+        self.calls["neg"] += 1
+        return self.inner.neg(a)
+
+    def neg_add(self, a, b):
+        self.calls["neg_add"] += 1
+        return self.inner.neg_add(a, b)
+
+    def neg_dbl(self, a):
+        self.calls["neg_dbl"] += 1
+        return self.inner.neg_dbl(a)
 
 
 def nonadjacent_expansions(max_len):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmul import (
     ALGORITHM_IDS,
@@ -24,7 +26,12 @@ from negmul import (
     windowed_neg_scalar_mul,
 )
 
-from oracles import IntegerGroup, walk_sign_invariant
+from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
+
+
+# every registry entry on its default form, the windowed one at widths 2-6
+REGISTRY_RUNS = [(algo, 4) for algo in ALGORITHMS if algo != "window"]
+REGISTRY_RUNS += [("window", w) for w in range(2, 7)]
 
 
 def counts(ledger):
@@ -316,15 +323,45 @@ def test_scalar_mul_entry_rejects_unknown_selectors():
         scalar_mul(5, 1, g, "neg", form="base3")
 
 
+def test_scalar_mul_window_rejects_other_forms():
+    g = ModularGroup(101)
+    for m in (-5, 0, 1, 5):
+        with pytest.raises(ValueError, match="unknown recoding form 'bogus'"):
+            scalar_mul(m, 1, g, "window", form="bogus")
+        for form in ("binary", "naf"):
+            with pytest.raises(ValueError, match=f"runs on form 'wnaf' only, got {form!r}"):
+                scalar_mul(m, 1, g, "window", form=form)
+        for form in (None, "wnaf"):
+            assert scalar_mul(m, 1, g, "window", form=form).element == m % 101
+
+
 def test_every_algorithm_computes_exact_coefficients_in_the_free_group():
     g = IntegerGroup()
     rng = random.Random(2003)
     scalars = list(range(1, 1 << 12)) + [rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
-    runs = [(algo, 4) for algo in ALGORITHMS if algo != "window"]
-    runs += [("window", w) for w in range(2, 7)]
-    for algo, width in runs:
+    for algo, width in REGISTRY_RUNS:
         for m in scalars:
             assert scalar_mul(m, 1, g, algo, width=width).element == m, (algo, width, m)
+
+
+def assert_ledger_counts_the_calls(m, algo, width):
+    g = CountingGroup()
+    res = scalar_mul(m, 1, g, algo, width=width)
+    assert res.element == m, (algo, width, m)
+    assert res.ledger.counts() == g.calls, (algo, width, m)
+
+
+def test_ledger_counts_equal_the_group_calls_made():
+    for algo, width in REGISTRY_RUNS:
+        for m in range(1, 1 << 10):
+            assert_ledger_counts_the_calls(m, algo, width)
+            assert_ledger_counts_the_calls(-m, algo, width)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(run=st.sampled_from(REGISTRY_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
+def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
+    assert_ledger_counts_the_calls(m, *run)
 
 
 def test_universal_agreement_small():

@@ -80,6 +80,20 @@ def test_mul_negative_scalar(capsys):
     assert out.splitlines()[0] == "4"
 
 
+def test_mul_window_with_another_form_is_usage_error(capsys):
+    for form in ("binary", "naf"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mul", "--n", "101", "--scalar", "5", "--algo", "window", "--form", form])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"runs on form 'wnaf' only, got {form!r}" in captured.err
+        assert "Traceback" not in captured.err
+    rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "5", "--algo", "window", "--form", "wnaf")
+    assert rc == 0
+    assert out.splitlines()[0] == "5"
+
+
 def test_mul_rejects_small_modulus(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["mul", "--n", "1", "--scalar", "3"])

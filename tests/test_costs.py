@@ -60,7 +60,6 @@ def test_vector_validation_and_arithmetic():
     b = CostVector(10, 20, 30, 40)
     assert a + b == CostVector(11, 22, 33, 44)
     assert a.scaled(3) == CostVector(3, 6, 9, 12)
-    assert bool(a) and not bool(ZERO_COST)
     with pytest.raises(ValueError, match="nonnegative"):
         a.scaled(-1)
 
@@ -80,62 +79,126 @@ def test_weighted_total_is_linear():
         )
 
 
+PICARD_PRICES = {
+    "add": CostVector(144, 12, 2),
+    "dbl": CostVector(158, 16, 2),
+    "neg": CostVector(11, 3),
+    "neg_add": CostVector(133, 9, 2),
+    "neg_dbl": CostVector(147, 13, 2),
+}
+
+
+def random_prices(rng):
+    return {kind: CostVector(*(rng.randrange(20) for _ in range(4))) for kind in OP_KINDS}
+
+
 def test_ledger_charging():
-    ledger = CostLedger()
-    ledger.charge("dbl", CostVector(158, 16, 2))
-    ledger.charge("dbl", CostVector(158, 16, 2))
-    ledger.charge("neg", ZERO_COST)
+    ledger = CostLedger(PICARD_PRICES)
+    ledger.charge("dbl")
+    ledger.charge("dbl")
+    ledger.charge("neg", 0)
+    ledger.charge("add", 3)
     assert ledger.count("dbl") == 2
-    assert ledger.count("neg") == 1
-    assert ledger.count("add") == 0
+    assert ledger.count("neg") == 0
+    assert ledger.count("add") == 3
+    assert ledger.count("neg_add") == 0
     assert ledger.vector("dbl") == CostVector(316, 32, 4)
+    assert ledger.vector("add") == CostVector(432, 36, 6)
     assert ledger.vector("neg") == ZERO_COST
-    assert ledger.total() == CostVector(316, 32, 4)
-    assert ledger.total_weighted() == 2 * Fraction(566, 3)
+    assert ledger.total() == CostVector(748, 68, 10)
+    assert ledger.total_weighted() == 2 * Fraction(566, 3) + 3 * 172
+
+
+def test_ledger_without_prices_counts_at_zero_cost():
+    ledger = CostLedger()
+    for kind in OP_KINDS:
+        ledger.charge(kind, 5)
+        assert ledger.vector(kind) == ZERO_COST
+    assert ledger.total() == ZERO_COST
+    assert ledger.total_weighted() == 0
+    assert sum(ledger.counts().values()) == 25
 
 
 def test_ledger_total_equals_sum_over_kinds():
     rng = random.Random(6)
-    ledger = CostLedger()
+    prices = random_prices(rng)
+    ledger = CostLedger(prices)
+    charged = dict.fromkeys(OP_KINDS, 0)
     for _ in range(100):
-        kind = rng.choice(OP_KINDS)
-        ledger.charge(kind, CostVector(*(rng.randrange(20) for _ in range(4))))
+        kind, times = rng.choice(OP_KINDS), rng.randrange(4)
+        ledger.charge(kind, times)
+        charged[kind] += times
     summed = ZERO_COST
     for kind in OP_KINDS:
+        assert ledger.vector(kind) == prices[kind].scaled(charged[kind])
         summed = summed + ledger.vector(kind)
     assert ledger.total() == summed
-    assert sum(ledger.counts().values()) == 100
+    assert ledger.counts() == charged
 
 
 def test_ledger_rejects_unknown_kind():
     ledger = CostLedger()
     with pytest.raises(ValueError, match="unknown operation kind"):
-        ledger.charge("triple", ZERO_COST)
+        ledger.charge("triple")
     with pytest.raises(ValueError, match="unknown operation kind"):
         ledger.count("triple")
     with pytest.raises(ValueError, match="unknown operation kind"):
         ledger.vector("triple")
 
 
+def test_ledger_rejects_bad_times():
+    ledger = CostLedger()
+    for bad in (-1, 1.0, 2.5, "3", True, None):
+        with pytest.raises(ValueError, match="times must be a nonnegative integer"):
+            ledger.charge("add", bad)
+    assert ledger.counts() == dict.fromkeys(OP_KINDS, 0)
+
+
+def test_ledger_requires_a_price_for_every_kind():
+    with pytest.raises(ValueError, match="no price for operation kind 'dbl'"):
+        CostLedger({"add": CostVector(1)})
+
+
 def test_ledger_merge_is_order_independent():
+    prices = random_prices(random.Random(0))
+
     def make(seed):
         rng = random.Random(seed)
-        ledger = CostLedger()
+        ledger = CostLedger(prices)
         for _ in range(30):
-            ledger.charge(rng.choice(OP_KINDS), CostVector(rng.randrange(9)))
+            ledger.charge(rng.choice(OP_KINDS), rng.randrange(9))
         return ledger
 
+    def merged(*ledgers):
+        out = CostLedger(prices)
+        for ledger in ledgers:
+            out.merge(ledger)
+        return out
+
     a, b, c = make(1), make(2), make(3)
-    left = (a + b) + c
-    right = a + (c + b)
+    left = merged(merged(a, b), c)
+    right = merged(a, merged(c, b))
     assert left == right
     assert left.total() == a.total() + b.total() + c.total()
 
 
+def test_ledger_merge_rejects_different_prices():
+    a = CostLedger(PICARD_PRICES)
+    b = CostLedger(dict(PICARD_PRICES, neg=ZERO_COST))
+    b.charge("add")
+    for target, other in ((a, b), (b, a), (a, CostLedger())):
+        with pytest.raises(ValueError, match="different prices"):
+            target.merge(other)
+    assert a.counts() == dict.fromkeys(OP_KINDS, 0)
+    assert b.count("add") == 1
+
+
 def test_ledger_copy_is_independent():
-    ledger = CostLedger()
-    ledger.charge("add", CostVector(1))
+    ledger = CostLedger(PICARD_PRICES)
+    ledger.charge("add")
     dup = ledger.copy()
-    ledger.charge("add", CostVector(1))
+    ledger.charge("add")
     assert dup.count("add") == 1
     assert ledger.count("add") == 2
+    assert dup.vector("add") == CostVector(144, 12, 2)
+    assert ledger.vector("add") == CostVector(288, 24, 4)

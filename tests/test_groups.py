@@ -7,6 +7,7 @@ import pytest
 
 from negmul import (
     HYPERELLIPTIC_PROFILE,
+    OP_KINDS,
     PICARD_PROFILE,
     CostChargingGroup,
     CostLedger,
@@ -18,6 +19,7 @@ from negmul import (
     ZERO_COST,
     load_profile,
     preset,
+    prices_of,
     savings_percent,
     weighted_total,
 )
@@ -48,13 +50,13 @@ class PlainModular(NegationAwareGroup):
 def test_modular_group_axioms_exhaustive():
     for n in SMALL_PRIMES:
         g = ModularGroup(n)
-        for a in g.elements():
+        for a in range(n):
             assert g.add(a, g.identity) == a
             assert g.add(a, g.neg(a)) == g.identity
             assert g.neg(g.neg(a)) == a
             assert g.dbl(a) == g.add(a, a)
             assert g.neg_dbl(a) == g.neg(g.dbl(a))
-            for b in g.elements():
+            for b in range(n):
                 assert g.add(a, b) == g.add(b, a)
                 assert g.neg_add(a, b) == g.neg(g.add(a, b))
 
@@ -67,7 +69,6 @@ def test_default_fused_implementations():
         for b in range(13):
             assert g.neg_add(a, b) == reference.neg_add(a, b)
     assert g.cost_of("add") == ZERO_COST
-    assert g.order is None
 
 
 def test_modular_group_validation_and_metadata():
@@ -76,8 +77,7 @@ def test_modular_group_validation_and_metadata():
     with pytest.raises(ValueError, match="positive integer"):
         ModularGroup("7")
     g = ModularGroup(7)
-    assert g.order == 7
-    assert list(g.elements()) == list(range(7))
+    assert g.n == 7
     assert repr(g) == "ModularGroup(7)"
 
 
@@ -85,31 +85,32 @@ def test_cost_charging_group_is_transparent():
     inner = ModularGroup(97)
     charged = CostChargingGroup(inner, PICARD_PROFILE)
     assert charged.identity == inner.identity
-    assert charged.order == inner.order
-    for a in inner.elements():
+    for a in range(97):
         assert charged.dbl(a) == inner.dbl(a)
         assert charged.neg(a) == inner.neg(a)
         assert charged.neg_dbl(a) == inner.neg_dbl(a)
-        for b in inner.elements():
+        for b in range(97):
             assert charged.add(a, b) == inner.add(a, b)
             assert charged.neg_add(a, b) == inner.neg_add(a, b)
 
 
 def test_charging_examples():
     g = CostChargingGroup(ModularGroup(7), PICARD_PROFILE)
-    ledger = CostLedger()
-    ledger.charge("neg_dbl", g.cost_of("neg_dbl"))
+    assert prices_of(g) == {kind: PICARD_PROFILE.cost_of(kind) for kind in OP_KINDS}
+    ledger = CostLedger(prices_of(g))
+    ledger.charge("neg_dbl")
     assert ledger.vector("neg_dbl") == CostVector(147, 13, 2, 0)
-    ledger = CostLedger()
-    ledger.charge("add", g.cost_of("add"))
-    ledger.charge("add", g.cost_of("add"))
+    ledger = CostLedger(prices_of(g))
+    ledger.charge("add")
+    ledger.charge("add")
     assert ledger.vector("add") == CostVector(288, 24, 4, 0)
+    assert prices_of(ModularGroup(7)) == dict.fromkeys(OP_KINDS, ZERO_COST)
 
     silent = CostProfile("silent", ZERO_COST, ZERO_COST, ZERO_COST, ZERO_COST, ZERO_COST)
     g0 = CostChargingGroup(ModularGroup(7), silent)
-    ledger = CostLedger()
-    for kind in ("add", "dbl", "neg", "neg_add", "neg_dbl"):
-        ledger.charge(kind, g0.cost_of(kind))
+    ledger = CostLedger(prices_of(g0))
+    for kind in OP_KINDS:
+        ledger.charge(kind)
     assert ledger.total() == ZERO_COST
 
 
