@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
 
 from .costs import CostLedger
-from .groups import Element, NegationAwareGroup, prices_of
+from .groups import Element, NegationAwareGroup
 from .recoding import RECODING_FORMS, SignedExpansion, recode
 
 MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
@@ -77,7 +77,7 @@ def _odd_multiples(
 
     Chain: 2D once, then successive additions; one negation per entry.
     """
-    ledger = CostLedger(prices_of(group))
+    ledger = CostLedger()
     table = {1: D, -1: group.neg(D)}
     if bound >= 3:
         two_d = group.dbl(D)
@@ -123,7 +123,7 @@ def _walk(
         table, table_ledger = _odd_multiples(D, group, table_bound)
         ledger = table_ledger.copy()
     else:
-        ledger = CostLedger(prices_of(group))
+        ledger = CostLedger()
         if fuse_dbl or fuse_add or any(d < 0 for d in digits):
             table = {1: D, -1: group.neg(D)}
             ledger.charge("neg")
@@ -176,7 +176,7 @@ def double_and_add(
     when a negative digit actually occurs.
     """
     if e.length == 0:
-        return MulResult(group.identity, CostLedger(prices_of(group)), [] if trace else None)
+        return MulResult(group.identity, CostLedger(), [] if trace else None)
     bound = e.digit_bound if e.digit_bound > 1 else None
     return _walk(
         e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
@@ -265,9 +265,12 @@ def windowed_neg_scalar_mul(
         raise ValueError(f"width must be in [2, 16], got {w}")
     _require_nonempty(e)
     bound = (1 << (w - 1)) - 1
-    for d in e.digits:
-        if d and (abs(d) > bound or d % 2 == 0):
-            raise ValueError(f"digit {d} outside the width-{w} table range")
+    # SignedExpansion already holds every nonzero digit odd and within
+    # digit_bound, so only a wider bound than the table's needs a scan.
+    if e.digit_bound > bound:
+        for d in e.digits:
+            if abs(d) > bound:
+                raise ValueError(f"digit {d} outside the width-{w} table range")
     return _walk(
         e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=bound
     )
@@ -327,13 +330,13 @@ def scalar_mul(
     default_form, run = ALGORITHMS[algo]
     if algo == "window" and form not in (None, default_form):
         raise ValueError(f"algorithm 'window' runs on form {default_form!r} only, got {form!r}")
-    ledger = CostLedger(prices_of(group))
-    if m < 0:
-        ledger.charge("neg")
+    negative = m < 0
+    if negative:
         m, D = -m, group.neg(D)
     if m <= 1:
-        return MulResult(D if m else group.identity, ledger)
-    result = run(recode(m, form or default_form, width), D, group, width, trace)
-    ledger.merge(result.ledger)
-    result.ledger = ledger
+        result = MulResult(D if m else group.identity, CostLedger())
+    else:
+        result = run(recode(m, form or default_form, width), D, group, width, trace)
+    if negative:
+        result.ledger.charge("neg")
     return result

@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import CostRatios, CostVector
+from .costs import OP_KINDS, CostRatios, CostVector
 from .groups import Element, NegationAwareGroup
 
 
@@ -129,7 +129,6 @@ def preset(name: str) -> CostProfile:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}") from None
 
 
-_VECTOR_KEYS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 _COMPONENT_KEYS = ("M", "S", "I", "A")
 _COMPONENT_FIELDS = ("mul", "sqr", "inv", "add_f")
 _RATIO_KEYS = ("sqr_per_mul", "inv_per_mul", "addf_per_mul")
@@ -151,13 +150,13 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(data) - set(_VECTOR_KEYS) - {"ratios"})
+    unknown = sorted(set(data) - set(OP_KINDS) - {"ratios"})
     if unknown:
         raise ValueError(f"{path}: unknown keys {unknown}")
-    missing = sorted(set(_VECTOR_KEYS) - set(data))
+    missing = sorted(set(OP_KINDS) - set(data))
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    vectors = {key: _parse_vector(path, key, data[key]) for key in _VECTOR_KEYS}
+    vectors = {key: _parse_vector(path, key, data[key]) for key in OP_KINDS}
     ratios = _parse_ratios(path, data["ratios"]) if "ratios" in data else None
     profile = CostProfile(
         name=path.stem,
@@ -209,8 +208,8 @@ def _parse_ratios(path: Path, obj: object) -> CostRatios:
 class CostChargingGroup(NegationAwareGroup):
     """Wraps another group: identical element math, costs priced by a profile.
 
-    Results are exactly the inner group's; only cost_of changes, so ledgers
-    opened against this group price their counts at the profile.
+    Results are exactly the inner group's; only cost_of changes, so
+    prices_of(this group) gives the profile's prices to read ledgers at.
     """
 
     __slots__ = ("inner", "profile")

@@ -95,13 +95,14 @@ class BenchReport:
     seed: int
     per_step: dict[str, StepCosts]
     algorithms: tuple[AlgorithmEntry, ...]
+    prices: dict[str, CostVector]
 
     def to_dict(self) -> dict:
         algorithms = []
         for entry in self.algorithms:
             ops = {}
             for kind in OP_KINDS:
-                vec = entry.ledger.vector(kind)
+                vec = entry.ledger.vector(kind, self.prices)
                 ops[kind] = {
                     "count": entry.ledger.count(kind),
                     "mul": vec.mul,
@@ -197,7 +198,8 @@ def run_bench(
     scalars = sample_scalars(bits, samples, seed)
     group = CostChargingGroup(ModularGroup(BENCH_MODULUS), profile)
     algo_ids = algorithms_for_form(form)
-    totals = {algo: CostLedger(prices_of(group)) for algo in algo_ids}
+    prices = prices_of(group)
+    totals = {algo: CostLedger() for algo in algo_ids}
     runs = [(totals[algo], ALGORITHMS[algo].run) for algo in algo_ids]
     for m in scalars:
         if form == "binary":
@@ -208,10 +210,10 @@ def run_bench(
             e = width_w_naf(m, width)
         for total, run in runs:
             total.merge(run(e, 1, group, width, False).ledger)
-    base_total = weighted_total(totals["baseline"].total(), ratios)
+    base_total = weighted_total(totals["baseline"].total(prices), ratios)
     entries = []
     for algo in algo_ids:
-        total = weighted_total(totals[algo].total(), ratios)
+        total = weighted_total(totals[algo].total(prices), ratios)
         savings = savings_percent(base_total, total) if base_total > 0 else None
         entries.append(AlgorithmEntry(algo, totals[algo], total, total / samples, savings))
     per_step = {
@@ -228,6 +230,7 @@ def run_bench(
         seed=seed,
         per_step=per_step,
         algorithms=tuple(entries),
+        prices=prices,
     )
 
 

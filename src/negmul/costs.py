@@ -4,7 +4,7 @@ Costs are tallied in the four classical formula-count units: field
 multiplications (M), squarings (S), inversions (I), and field additions (A).
 A CostVector counts them, CostRatios collapses a vector into M-equivalents,
 and a CostLedger counts the group operations one scalar-multiplication run
-actually did, pricing them on read. Totals and percentages stay in
+actually did, for its reader to price. Totals and percentages stay in
 fractions.Fraction throughout, so every derived figure is exact and
 comparisons in tests need no tolerance.
 """
@@ -97,26 +97,19 @@ def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
 
 
 class CostLedger:
-    """Mutable per-run tally of how often each operation kind ran, priced on read.
+    """Mutable per-run tally of how often each operation kind ran.
 
-    A ledger is opened with one price per operation kind ({kind: CostVector},
-    zero cost when none is given) and only counts; the cost of a kind is its
-    price scaled by its count. A ledger belongs to exactly one
-    scalar-multiplication run; disjoint runs at the same prices keep disjoint
+    A ledger only counts; it is priced when read, from one price per
+    operation kind ({kind: CostVector}, for example prices_of(group)): the
+    cost of a kind is its price scaled by its count. A ledger belongs to
+    exactly one scalar-multiplication run; disjoint runs keep disjoint
     ledgers and may be merged afterwards, in any order.
     """
 
-    __slots__ = ("_counts", "_prices")
+    __slots__ = ("_counts",)
 
-    def __init__(self, prices: Mapping[str, CostVector] | None = None) -> None:
+    def __init__(self) -> None:
         self._counts = dict.fromkeys(OP_KINDS, 0)
-        if prices is None:
-            self._prices = dict.fromkeys(OP_KINDS, ZERO_COST)
-        else:
-            try:
-                self._prices = {kind: prices[kind] for kind in OP_KINDS}
-            except KeyError as exc:
-                raise ValueError(f"no price for operation kind {exc.args[0]!r}") from None
 
     def charge(self, kind: str, times: int = 1) -> None:
         """Record `times` more invocations of `kind`."""
@@ -135,34 +128,29 @@ class CostLedger:
     def counts(self) -> dict[str, int]:
         return dict(self._counts)
 
-    def vector(self, kind: str) -> CostVector:
+    def vector(self, kind: str, prices: Mapping[str, CostVector]) -> CostVector:
         """What the `kind` invocations cost: its price times its count."""
         count = self.count(kind)
-        return self._prices[kind].scaled(count)
+        return prices[kind].scaled(count)
 
-    def total(self) -> CostVector:
-        """Componentwise sum over all operation kinds."""
-        return sum((self.vector(kind) for kind in OP_KINDS), ZERO_COST)
-
-    def total_weighted(self, ratios: CostRatios = DEFAULT_RATIOS) -> Fraction:
-        return weighted_total(self.total(), ratios)
+    def total(self, prices: Mapping[str, CostVector]) -> CostVector:
+        """Componentwise sum over all operation kinds, at the given prices."""
+        return sum((self.vector(kind, prices) for kind in OP_KINDS), ZERO_COST)
 
     def merge(self, other: CostLedger) -> None:
-        """Fold another run's counts into this ledger; both must share prices."""
-        if other._prices != self._prices:
-            raise ValueError("cannot merge ledgers opened at different prices")
+        """Fold another run's counts into this ledger."""
         for kind in OP_KINDS:
             self._counts[kind] += other._counts[kind]
 
     def copy(self) -> CostLedger:
-        dup = CostLedger(self._prices)
+        dup = CostLedger()
         dup.merge(self)
         return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostLedger):
             return NotImplemented
-        return self._counts == other._counts and self._prices == other._prices
+        return self._counts == other._counts
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{kind}={self._counts[kind]}" for kind in OP_KINDS if self._counts[kind])

@@ -55,5 +55,5 @@ class NegationAwareGroup(ABC):
 
 
 def prices_of(group: NegationAwareGroup) -> dict[str, CostVector]:
-    """The group's cost_of for every operation kind: the prices its ledgers open with."""
+    """The group's cost_of for every operation kind: the prices to read its ledgers at."""
     return {kind: group.cost_of(kind) for kind in OP_KINDS}

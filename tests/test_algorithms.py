@@ -20,6 +20,7 @@ from negmul import (
     naf,
     neg_scalar_mul,
     neg_scalar_mul_online,
+    prices_of,
     scalar_mul,
     verify_universal_agreement,
     width_w_naf,
@@ -218,6 +219,11 @@ def test_windowed_examples():
     assert counts(res.ledger) == {"dbl": 1, "add": 1, "neg": 2}
     assert res.table_ledger == res.ledger  # no loop iterations, no final negation
 
+    # a wider-bound expansion runs when its digits fit the width-3 table
+    e = width_w_naf(3, 5)
+    assert e.digit_bound == 15
+    assert windowed_neg_scalar_mul(e, 1, ModularGroup(13), 3).element == 3
+
 
 def test_windowed_table_costs():
     g = ModularGroup(1009)
@@ -273,7 +279,7 @@ def test_ledger_decomposition_under_picard_costs():
             + PICARD_PROFILE.neg_add_cost.scaled(e.weight - 1)
             + PICARD_PROFILE.neg_cost
         )
-        assert ledger.total() == expected
+        assert ledger.total(prices_of(g)) == expected
 
 
 def test_scalar_mul_entry_special_cases():

@@ -96,22 +96,23 @@ def test_cost_charging_group_is_transparent():
 
 def test_charging_examples():
     g = CostChargingGroup(ModularGroup(7), PICARD_PROFILE)
-    assert prices_of(g) == {kind: PICARD_PROFILE.cost_of(kind) for kind in OP_KINDS}
-    ledger = CostLedger(prices_of(g))
+    prices = prices_of(g)
+    assert prices == {kind: PICARD_PROFILE.cost_of(kind) for kind in OP_KINDS}
+    ledger = CostLedger()
     ledger.charge("neg_dbl")
-    assert ledger.vector("neg_dbl") == CostVector(147, 13, 2, 0)
-    ledger = CostLedger(prices_of(g))
+    assert ledger.vector("neg_dbl", prices) == CostVector(147, 13, 2, 0)
+    ledger = CostLedger()
     ledger.charge("add")
     ledger.charge("add")
-    assert ledger.vector("add") == CostVector(288, 24, 4, 0)
+    assert ledger.vector("add", prices) == CostVector(288, 24, 4, 0)
     assert prices_of(ModularGroup(7)) == dict.fromkeys(OP_KINDS, ZERO_COST)
 
     silent = CostProfile("silent", ZERO_COST, ZERO_COST, ZERO_COST, ZERO_COST, ZERO_COST)
     g0 = CostChargingGroup(ModularGroup(7), silent)
-    ledger = CostLedger(prices_of(g0))
+    ledger = CostLedger()
     for kind in OP_KINDS:
         ledger.charge(kind)
-    assert ledger.total() == ZERO_COST
+    assert ledger.total(prices_of(g0)) == ZERO_COST
 
 
 def test_picard_preset_vectors():
