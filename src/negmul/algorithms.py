@@ -15,8 +15,8 @@ integer flip per group operation.
 
 All six drivers are one walk (_walk) fixed by three choices: which steps are
 fused, the start policy (lookahead parity, or start at f = 0 and negate once
-at the end), and the addend table. ALGORITHMS maps each driver id to its
-default recoding and a runner for it.
+at the end), and the addend table. ALGORITHMS maps each driver id to the
+recoding forms it runs on, default first, and a runner for it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Literal, NamedTuple
 
 from .costs import CostLedger
 from .groups import Element, NegationAwareGroup
-from .recoding import RECODING_FORMS, SignedExpansion, recode
+from .recoding import MAX_WIDTH, MIN_WIDTH, SignedExpansion, recode
 
 MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
 
@@ -261,8 +261,8 @@ def windowed_neg_scalar_mul(
     and negate once at the end if the flag closes at 1. Table construction
     is reported separately in table_ledger.
     """
-    if not 2 <= w <= 16:
-        raise ValueError(f"width must be in [2, 16], got {w}")
+    if not MIN_WIDTH <= w <= MAX_WIDTH:
+        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
     _require_nonempty(e)
     bound = (1 << (w - 1)) - 1
     # SignedExpansion already holds every nonzero digit odd and within
@@ -277,26 +277,33 @@ def windowed_neg_scalar_mul(
 
 
 class Algorithm(NamedTuple):
-    """A driver id's default recoding form and its runner (e, D, group, width, trace)."""
+    """A driver's recoding forms, default first, and its runner (e, D, group, width, trace)."""
 
-    form: str
+    forms: tuple[str, ...]
     run: Callable[[SignedExpansion, Element, NegationAwareGroup, int, bool], MulResult]
 
+
+# the recodings whose digits lie in {-1, 0, 1}; a width-w NAF needs a table
+_UNIT_FORMS = ("naf", "binary")
 
 # Each runner looks its driver up by global name at call time, so rebinding a
 # driver here (to wrap or trace it) reaches every caller of the registry.
 ALGORITHMS: dict[str, Algorithm] = {
-    "baseline": Algorithm("binary", lambda e, D, g, w, t: double_and_add(e, D, g, trace=t)),
-    "neg": Algorithm("naf", lambda e, D, g, w, t: neg_scalar_mul(e, D, g, trace=t)),
-    "online": Algorithm("naf", lambda e, D, g, w, t: neg_scalar_mul_online(e, D, g, trace=t)),
+    "baseline": Algorithm(
+        ("binary", "naf", "wnaf"), lambda e, D, g, w, t: double_and_add(e, D, g, trace=t)
+    ),
+    "neg": Algorithm(_UNIT_FORMS, lambda e, D, g, w, t: neg_scalar_mul(e, D, g, trace=t)),
+    "online": Algorithm(
+        _UNIT_FORMS, lambda e, D, g, w, t: neg_scalar_mul_online(e, D, g, trace=t)
+    ),
     "neg-dbl-only": Algorithm(
-        "naf", lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
     ),
     "neg-add-only": Algorithm(
-        "naf", lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
     ),
     "window": Algorithm(
-        "wnaf", lambda e, D, g, w, t: windowed_neg_scalar_mul(e, D, g, w, trace=t)
+        ("wnaf",), lambda e, D, g, w, t: windowed_neg_scalar_mul(e, D, g, w, trace=t)
     ),
 }
 
@@ -317,26 +324,27 @@ def scalar_mul(
 
     Handles what the drivers refuse: m = 0 returns the identity, m = 1
     returns D, and a negative m negates the base first (one counted
-    negation). `form` picks the recoding (binary for the baseline, naf for
-    the other {-1, 0, 1} drivers, when unspecified); the windowed driver
-    runs on the width-`width` NAF only, so any other form is an error.
+    negation). `form` picks the recoding among the forms the driver's
+    ALGORITHMS entry lists, the first when unspecified; a form the entry does
+    not list, or a wnaf width outside [MIN_WIDTH, MAX_WIDTH], is an error
+    whatever m is.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"scalar must be an integer, got {m!r}")
-    if form is not None and form not in RECODING_FORMS:
-        raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
-    default_form, run = ALGORITHMS[algo]
-    if algo == "window" and form not in (None, default_form):
-        raise ValueError(f"algorithm 'window' runs on form {default_form!r} only, got {form!r}")
+    forms, run = ALGORITHMS[algo]
+    e = recode(abs(m), forms[0] if form is None else form, width)
+    if form not in (None, *forms):
+        listed = " or ".join(map(repr, forms))
+        raise ValueError(f"algorithm {algo!r} runs on form {listed} only, got {form!r}")
     negative = m < 0
     if negative:
         m, D = -m, group.neg(D)
     if m <= 1:
         result = MulResult(D if m else group.identity, CostLedger())
     else:
-        result = run(recode(m, form or default_form, width), D, group, width, trace)
+        result = run(e, D, group, width, trace)
     if negative:
         result.ledger.charge("neg")
     return result

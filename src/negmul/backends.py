@@ -79,17 +79,9 @@ class CostProfile:
                 )
 
     def cost_of(self, kind: str) -> CostVector:
-        mapping = {
-            "add": self.add_cost,
-            "dbl": self.dbl_cost,
-            "neg": self.neg_cost,
-            "neg_add": self.neg_add_cost,
-            "neg_dbl": self.neg_dbl_cost,
-        }
-        try:
-            return mapping[kind]
-        except KeyError:
-            raise ValueError(f"unknown operation kind: {kind!r}") from None
+        if kind not in OP_KINDS:
+            raise ValueError(f"unknown operation kind: {kind!r}")
+        return getattr(self, f"{kind}_cost")
 
 
 # Generic-case divisor arithmetic on Picard curves. The geometric addition
@@ -158,15 +150,7 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
         raise ValueError(f"{path}: missing keys {missing}")
     vectors = {key: _parse_vector(path, key, data[key]) for key in OP_KINDS}
     ratios = _parse_ratios(path, data["ratios"]) if "ratios" in data else None
-    profile = CostProfile(
-        name=path.stem,
-        add_cost=vectors["add"],
-        dbl_cost=vectors["dbl"],
-        neg_cost=vectors["neg"],
-        neg_add_cost=vectors["neg_add"],
-        neg_dbl_cost=vectors["neg_dbl"],
-    )
-    return profile, ratios
+    return CostProfile(path.stem, **{f"{kind}_cost": vectors[kind] for kind in OP_KINDS}), ratios
 
 
 def _parse_vector(path: Path, key: str, obj: object) -> CostVector:

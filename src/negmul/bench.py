@@ -51,15 +51,11 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
 
 
 def algorithms_for_form(form: str) -> tuple[str, ...]:
-    """Drivers a bench run covers: the baseline plus every variant the form feeds.
+    """Drivers a bench run covers: the ALGORITHMS entries listing the form, in order.
 
-    Wide digits fit only the table-based drivers, so form wnaf benches the
-    windowed driver against the (equally tabled) baseline; binary and naf
-    feed all the {-1, 0, 1} drivers.
+    The baseline lists every form, so each run has it to compare against.
     """
-    if form == "wnaf":
-        return ("baseline", "window")
-    return ("baseline", "neg", "online", "neg-dbl-only", "neg-add-only")
+    return tuple(algo for algo, entry in ALGORITHMS.items() if form in entry.forms)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algorithms import ALGORITHM_IDS, scalar_mul
+from .algorithms import ALGORITHM_IDS, ALGORITHMS, scalar_mul
 from .backends import ModularGroup, load_profile, preset
 from .bench import MAX_BITS, MIN_BITS, run_bench
 from .costs import DEFAULT_RATIOS, OP_KINDS, CostRatios
-from .recoding import RECODING_FORMS, recode
+from .recoding import MAX_WIDTH, MIN_WIDTH, RECODING_FORMS, recode
 from .verify import MAX_VERIFY_N, verify_universal_agreement
 
 
@@ -66,7 +66,7 @@ def _ratio(text: str) -> Fraction:
     return value
 
 
-_width_arg = _bounded(2, 16, "width")
+_width_arg = _bounded(MIN_WIDTH, MAX_WIDTH, "width")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--form",
         choices=RECODING_FORMS,
         default=None,
-        help="recoding override; the window driver takes wnaf only",
+        help="recoding, by default the first form the driver runs on; a form it does not run "
+        "on is a usage error: "
+        + "; ".join(f"{algo} {'/'.join(entry.forms)}" for algo, entry in ALGORITHMS.items()),
     )
     mul.add_argument("--width", type=_width_arg, default=4)
     mul.set_defaults(func=cmd_mul, parser=mul)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
 
+MIN_WIDTH, MAX_WIDTH = 2, 16
+
 
 @dataclass(frozen=True)
 class SignedExpansion:
@@ -63,9 +65,6 @@ class SignedExpansion:
             v = 2 * v + d
         return v
 
-    def __iter__(self):
-        return iter(self.digits)
-
 
 def binary_expansion(m: int) -> SignedExpansion:
     """Plain base-2 digits of m, most-significant first."""
@@ -89,8 +88,8 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     this is exactly the NAF.
     """
     _require_nonnegative(m)
-    if not 2 <= w <= 16:
-        raise ValueError(f"width must be in [2, 16], got {w}")
+    if not MIN_WIDTH <= w <= MAX_WIDTH:
+        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
     full, half = 1 << w, 1 << (w - 1)
     digits: list[int] = []
     while m > 0:

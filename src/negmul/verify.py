@@ -14,6 +14,10 @@ VERIFY_PRIMES = (5, 7, 11, 31, 97)
 
 MAX_VERIFY_N = 512
 
+VERIFY_WIDTHS = (2, 3, 4)
+
+MAX_MISMATCHES = 10
+
 Driver = Callable[[int, int, NegationAwareGroup], int]
 
 
@@ -26,17 +30,19 @@ class Mismatch(NamedTuple):
     expected: int
 
 
-def default_verify_algorithms(widths: tuple[int, ...] = (2, 3, 4)) -> dict[str, Driver]:
+def default_verify_algorithms() -> dict[str, Driver]:
     """Drivers keyed by id, each mapping (m, D, group) to the computed product.
 
     Every ALGORITHMS id runs on its default recoding, the windowed one once
-    per width. Recodings are cached across calls, so exhaustive sweeps recode
-    each scalar once per form no matter how many moduli and bases they cover.
+    per width in VERIFY_WIDTHS. Recodings are cached across calls, so
+    exhaustive sweeps recode each scalar once per form no matter how many
+    moduli and bases they cover.
     """
     recode_of = lru_cache(maxsize=None)(recode)
 
     def driver(algo: str, width: int) -> Driver:
-        form, run = ALGORITHMS[algo]
+        forms, run = ALGORITHMS[algo]
+        form = forms[0]
 
         def drive(m: int, D: int, group: NegationAwareGroup) -> int:
             if m == 0:
@@ -47,7 +53,7 @@ def default_verify_algorithms(widths: tuple[int, ...] = (2, 3, 4)) -> dict[str, 
 
     # the width reaches only the windowed driver; the others ignore it
     algorithms = {algo: driver(algo, 4) for algo in ALGORITHMS if algo != "window"}
-    for w in widths:
+    for w in VERIFY_WIDTHS:
         algorithms[f"window-w{w}"] = driver("window", w)
     return algorithms
 
@@ -56,13 +62,12 @@ def verify_universal_agreement(
     max_n: int = 97,
     multiplier: int = 4,
     algorithms: Mapping[str, Driver] | None = None,
-    max_mismatches: int = 10,
 ) -> tuple[int, list[Mismatch]]:
     """Compare every driver against (m * D) mod n over the bundled prime moduli.
 
     Covers every prime n <= max_n from VERIFY_PRIMES, every base element D
     in Z/n, and every scalar m below multiplier * n. Returns the number of
-    products checked and the mismatches found (capped at max_mismatches).
+    products checked and the mismatches found (capped at MAX_MISMATCHES).
     """
     if not 1 <= max_n <= MAX_VERIFY_N:
         raise ValueError(f"max_n must be in [1, {MAX_VERIFY_N}], got {max_n}")
@@ -81,6 +86,6 @@ def verify_universal_agreement(
                     checked += 1
                     if got != expected:
                         mismatches.append(Mismatch(n, D, m, name, got, expected))
-                        if len(mismatches) >= max_mismatches:
+                        if len(mismatches) >= MAX_MISMATCHES:
                             return checked, mismatches
     return checked, mismatches

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from negmul import (
     ALGORITHM_IDS,
     ALGORITHMS,
+    RECODING_FORMS,
     CostVector,
     ModularGroup,
     PICARD_PROFILE,
@@ -26,6 +27,7 @@ from negmul import (
     width_w_naf,
     windowed_neg_scalar_mul,
 )
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH
 
 from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
 
@@ -329,16 +331,43 @@ def test_scalar_mul_entry_rejects_unknown_selectors():
         scalar_mul(5, 1, g, "neg", form="base3")
 
 
+SCALARS_AROUND_THE_SHORTCUTS = (-5, -1, 0, 1, 5, 17)
+
+
 def test_scalar_mul_window_rejects_other_forms():
+    # every registry entry refuses every form it does not list, whatever m is
     g = ModularGroup(101)
-    for m in (-5, 0, 1, 5):
-        with pytest.raises(ValueError, match="unknown recoding form 'bogus'"):
-            scalar_mul(m, 1, g, "window", form="bogus")
-        for form in ("binary", "naf"):
-            with pytest.raises(ValueError, match=f"runs on form 'wnaf' only, got {form!r}"):
-                scalar_mul(m, 1, g, "window", form=form)
-        for form in (None, "wnaf"):
-            assert scalar_mul(m, 1, g, "window", form=form).element == m % 101
+    for m in SCALARS_AROUND_THE_SHORTCUTS:
+        for algo, (forms, _) in ALGORITHMS.items():
+            with pytest.raises(ValueError, match="unknown recoding form 'bogus'"):
+                scalar_mul(m, 1, g, algo, form="bogus")
+            listed = " or ".join(repr(f) for f in forms)
+            for form in RECODING_FORMS:
+                if form in forms:
+                    assert scalar_mul(m, 1, g, algo, form=form).element == m % 101
+                else:
+                    message = f"algorithm {algo!r} runs on form {listed} only, got {form!r}$"
+                    with pytest.raises(ValueError, match=message):
+                        scalar_mul(m, 1, g, algo, form=form)
+            assert scalar_mul(m, 1, g, algo).element == m % 101
+    assert ALGORITHMS["neg"].forms == ("naf", "binary")
+    with pytest.raises(ValueError, match="^algorithm 'window' runs on form 'wnaf' only, got 'naf'$"):
+        scalar_mul(17, 1, g, "window", form="naf")
+    with pytest.raises(ValueError, match="runs on form 'naf' or 'binary' only, got 'wnaf'$"):
+        scalar_mul(17, 1, g, "neg", form="wnaf")
+
+
+def test_scalar_mul_rejects_bad_widths_whatever_the_scalar():
+    g = ModularGroup(101)
+    for m in SCALARS_AROUND_THE_SHORTCUTS:
+        for algo, form in (("window", None), ("window", "wnaf"), ("baseline", "wnaf")):
+            for width in (MIN_WIDTH - 1, MAX_WIDTH + 1):
+                with pytest.raises(ValueError, match=f"^width must be in \\[2, 16\\], got {width}$"):
+                    scalar_mul(m, 1, g, algo, form=form, width=width)
+            for width in (MIN_WIDTH, MAX_WIDTH):
+                assert scalar_mul(m, 1, g, algo, form=form, width=width).element == m % 101
+        # the width reaches only the wnaf recoding
+        assert scalar_mul(m, 1, g, "neg", width=MIN_WIDTH - 1).element == m % 101
 
 
 def test_every_algorithm_computes_exact_coefficients_in_the_free_group():

@@ -92,6 +92,14 @@ def test_mul_window_with_another_form_is_usage_error(capsys):
     rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "5", "--algo", "window", "--form", "wnaf")
     assert rc == 0
     assert out.splitlines()[0] == "5"
+    # 17 recodes to the same digits in naf and wnaf, which once let it through
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mul", "--n", "101", "--scalar", "17", "--algo", "neg", "--form", "wnaf"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "algorithm 'neg' runs on form 'naf' or 'binary' only, got 'wnaf'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_mul_rejects_small_modulus(capsys):
