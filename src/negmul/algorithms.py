@@ -26,7 +26,7 @@ from typing import Callable, Literal, NamedTuple
 
 from .costs import CostLedger
 from .groups import Element, NegationAwareGroup
-from .recoding import MAX_WIDTH, MIN_WIDTH, SignedExpansion, recode
+from .recoding import SignedExpansion, recode, require_width
 
 MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
 
@@ -261,8 +261,7 @@ def windowed_neg_scalar_mul(
     and negate once at the end if the flag closes at 1. Table construction
     is reported separately in table_ledger.
     """
-    if not MIN_WIDTH <= w <= MAX_WIDTH:
-        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
+    require_width(w)
     _require_nonempty(e)
     bound = (1 << (w - 1)) - 1
     # SignedExpansion already holds every nonzero digit odd and within
@@ -326,8 +325,8 @@ def scalar_mul(
     returns D, and a negative m negates the base first (one counted
     negation). `form` picks the recoding among the forms the driver's
     ALGORITHMS entry lists, the first when unspecified; a form the entry does
-    not list, or a wnaf width outside [MIN_WIDTH, MAX_WIDTH], is an error
-    whatever m is.
+    not list, or a wnaf width that is not an int in [MIN_WIDTH, MAX_WIDTH],
+    is an error whatever m is.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")

@@ -1,8 +1,9 @@
-"""Concrete groups: the exact modular oracle and the cost-model wrapper."""
+"""Concrete groups: the exact modular oracle, the trivial group and the cost-model wrapper."""
 
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import astuple, dataclass
 from fractions import Fraction
@@ -48,6 +49,24 @@ class ModularGroup(NegationAwareGroup):
 
     def __repr__(self) -> str:
         return f"ModularGroup({self.n})"
+
+
+class TrivialGroup(NegationAwareGroup):
+    """The one-element group {0}: every operation returns 0.
+
+    For runs whose ledgers are read and whose elements are not. The ops are
+    C builtins (in {0}, doubling and negating agree), so a group op costs no
+    Python frame.
+    """
+
+    __slots__ = ()
+
+    identity = 0
+    add = neg_add = operator.add
+    dbl = neg_dbl = neg = operator.neg
+
+    def __repr__(self) -> str:
+        return "TrivialGroup()"
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,14 @@ RECODING_FORMS = ("binary", "naf", "wnaf")
 MIN_WIDTH, MAX_WIDTH = 2, 16
 
 
+def require_width(w: int) -> None:
+    """Reject a wnaf width that is not an int in [MIN_WIDTH, MAX_WIDTH]."""
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise ValueError(f"width must be an integer, got {w!r}")
+    if not MIN_WIDTH <= w <= MAX_WIDTH:
+        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
+
+
 @dataclass(frozen=True)
 class SignedExpansion:
     """An immutable digit string plus the bound its digits respect.
@@ -37,15 +45,18 @@ class SignedExpansion:
         bound = self.digit_bound
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
             raise ValueError(f"digit_bound must be a positive integer, got {bound!r}")
-        for d in self.digits:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ValueError(f"digits must be integers, got {d!r}")
-            if abs(d) > bound:
-                raise ValueError(f"digit {d} exceeds bound {bound}")
-            if bound > 1 and d and d % 2 == 0:
-                raise ValueError(f"nonzero digits must be odd under bound {bound}, got {d}")
-        if self.digits and self.digits[0] <= 0:
-            raise ValueError(f"leading digit must be positive, got {self.digits[0]}")
+        # Each distinct digit is checked once; only a failure scans the digits
+        # in order, so that the message names the first bad one.
+        digits = self.digits
+        if not set(map(type, digits)) <= {int} or any(
+            _digit_error(d, bound) for d in set(digits)
+        ):
+            for d in digits:
+                error = _digit_error(d, bound)
+                if error:
+                    raise ValueError(error)
+        if digits and digits[0] <= 0:
+            raise ValueError(f"leading digit must be positive, got {digits[0]}")
 
     @property
     def length(self) -> int:
@@ -85,23 +96,23 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     Right-to-left greedy construction: an odd remainder contributes its
     residue mod 2**w mapped into (-2**(w-1), 2**(w-1)) and is cleared, which
     forces at least w - 1 zeros before the next nonzero digit. For w = 2
-    this is exactly the NAF.
+    this is exactly the NAF. Each run of zeros is emitted at once, its
+    length read off the lowest set bit, so the big-integer work is a few
+    operations per nonzero digit rather than per digit.
     """
     _require_nonnegative(m)
-    if not MIN_WIDTH <= w <= MAX_WIDTH:
-        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
-    full, half = 1 << w, 1 << (w - 1)
+    require_width(w)
+    mask, full, half = (1 << w) - 1, 1 << w, 1 << (w - 1)
     digits: list[int] = []
-    while m > 0:
-        if m & 1:
-            d = m % full
-            if d >= half:
-                d -= full
-            m -= d
-        else:
-            d = 0
+    while m:
+        zeros = (m & -m).bit_length() - 1
+        digits += [0] * zeros
+        m >>= zeros
+        d = m & mask
+        if d >= half:
+            d -= full
         digits.append(d)
-        m >>= 1
+        m = (m - d) >> 1
     digits.reverse()
     return SignedExpansion(tuple(digits), half - 1)
 
@@ -115,6 +126,17 @@ def recode(m: int, form: str, width: int) -> SignedExpansion:
     if form == "wnaf":
         return width_w_naf(m, width)
     raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
+
+
+def _digit_error(d: int, bound: int) -> str | None:
+    """Why d cannot be a digit under bound, or None if it can."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        return f"digits must be integers, got {d!r}"
+    if abs(d) > bound:
+        return f"digit {d} exceeds bound {bound}"
+    if bound > 1 and d and d % 2 == 0:
+        return f"nonzero digits must be odd under bound {bound}, got {d}"
+    return None
 
 
 def _require_nonnegative(m: int) -> None:

@@ -12,7 +12,8 @@ from .recoding import recode
 
 VERIFY_PRIMES = (5, 7, 11, 31, 97)
 
-MAX_VERIFY_N = 512
+# no bundled prime lies above it, so a larger max_n would check nothing more
+MAX_VERIFY_N = VERIFY_PRIMES[-1]
 
 VERIFY_WIDTHS = (2, 3, 4)
 

@@ -63,6 +63,28 @@ class CountingGroup(NegationAwareGroup):
         return self.inner.neg_dbl(a)
 
 
+def reference_width_w_naf(m, w):
+    """Digits of the width-w NAF of m >= 0, most-significant first, one digit per step.
+
+    The greedy right-to-left loop: an odd remainder gives its residue mod
+    2**w mapped into (-2**(w-1), 2**(w-1)), an even one gives 0, then shift.
+    """
+    full, half = 1 << w, 1 << (w - 1)
+    digits = []
+    while m > 0:
+        if m & 1:
+            d = m % full
+            if d >= half:
+                d -= full
+            m -= d
+        else:
+            d = 0
+        digits.append(d)
+        m >>= 1
+    digits.reverse()
+    return tuple(digits)
+
+
 def nonadjacent_expansions(max_len):
     """All digit strings over {-1, 0, 1} with leading digit +1, no two adjacent
     nonzero digits, and length <= max_len, grouped by value.

@@ -27,7 +27,8 @@ from negmul import (
     width_w_naf,
     windowed_neg_scalar_mul,
 )
-from negmul.recoding import MAX_WIDTH, MIN_WIDTH
+from negmul.backends import TrivialGroup
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 
 from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
 
@@ -364,6 +365,9 @@ def test_scalar_mul_rejects_bad_widths_whatever_the_scalar():
             for width in (MIN_WIDTH - 1, MAX_WIDTH + 1):
                 with pytest.raises(ValueError, match=f"^width must be in \\[2, 16\\], got {width}$"):
                     scalar_mul(m, 1, g, algo, form=form, width=width)
+            for width in (3.0, True):
+                with pytest.raises(ValueError, match=f"^width must be an integer, got {width}$"):
+                    scalar_mul(m, 1, g, algo, form=form, width=width)
             for width in (MIN_WIDTH, MAX_WIDTH):
                 assert scalar_mul(m, 1, g, algo, form=form, width=width).element == m % 101
         # the width reaches only the wnaf recoding
@@ -399,6 +403,21 @@ def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
     assert_ledger_counts_the_calls(m, *run)
 
 
+def test_trivial_group_runs_charge_what_the_counting_group_runs_do():
+    # bench runs its drivers in the trivial group and reads only their ledgers
+    trivial = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
+    for algo, (forms, run) in ALGORITHMS.items():
+        for form in forms:
+            for width in range(2, 7) if form == "wnaf" else (4,):
+                for m in range(1, 1 << 10):
+                    e = recode(m, form, width)
+                    got = run(e, trivial.identity, trivial, width, False)
+                    want = run(e, 1, CountingGroup(), width, False)
+                    assert got.element == 0
+                    assert got.ledger == want.ledger, (algo, form, width, m)
+                    assert got.table_ledger == want.table_ledger, (algo, form, width, m)
+
+
 def test_universal_agreement_small():
     checked, mismatches = verify_universal_agreement(max_n=11)
     assert mismatches == []
@@ -432,8 +451,9 @@ def test_verify_reports_concrete_counterexample():
 
 
 def test_verify_validates_arguments():
-    with pytest.raises(ValueError, match="max_n"):
-        verify_universal_agreement(max_n=513)
+    for max_n in (98, 513):
+        with pytest.raises(ValueError, match="max_n"):
+            verify_universal_agreement(max_n=max_n)
     with pytest.raises(ValueError, match="multiplier"):
         verify_universal_agreement(max_n=5, multiplier=0)
 

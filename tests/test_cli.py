@@ -125,9 +125,10 @@ def test_verify_failure_formatting(monkeypatch, capsys):
 
 
 def test_verify_rejects_out_of_range_max_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--max-n", "513"])
-    assert exc.value.code == 2
+    for max_n in ("98", "513"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--max-n", max_n])
+        assert exc.value.code == 2
 
 
 def test_bench_json_parses_and_is_deterministic(capsys):

@@ -3,10 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmul import SignedExpansion, binary_expansion, naf, width_w_naf
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH
 
-from oracles import min_window_weight, nonadjacent_expansions
+from oracles import min_window_weight, nonadjacent_expansions, reference_width_w_naf
+
+WIDTHS = range(MIN_WIDTH, MAX_WIDTH + 1)
 
 
 def has_adjacent_nonzeros(digits):
@@ -107,6 +112,20 @@ def test_wnaf_digit_set_and_window_property():
             assert window_property_holds(e.digits, w)
 
 
+def test_wnaf_equals_the_digit_by_digit_reference_small():
+    for w in WIDTHS:
+        for m in range(1 << 12):
+            assert width_w_naf(m, w).digits == reference_width_w_naf(m, w), (m, w)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=st.integers(0, (1 << 4096) - 1), w=st.sampled_from(WIDTHS))
+def test_wnaf_equals_the_digit_by_digit_reference(m, w):
+    e = width_w_naf(m, w)
+    assert e.digits == reference_width_w_naf(m, w)
+    assert e.value == m
+
+
 def test_naf_unique_among_nonadjacent_expansions_small():
     by_value = nonadjacent_expansions(12)
     for m in range(1 << 10):
@@ -147,6 +166,18 @@ def test_expansion_validation():
         SignedExpansion((1,), digit_bound=0)
     with pytest.raises(ValueError, match="integers"):
         SignedExpansion((1, 0.5))
+    # several bad digits: the message names the first
+    cases = (
+        ((1, 2, 0.5), 1, "^digit 2 exceeds bound 1$"),
+        ((1, 0.5, 2), 1, "^digits must be integers, got 0.5$"),
+        ((1, True), 1, "^digits must be integers, got True$"),
+        ((1, 0, 2, 4), 3, "^nonzero digits must be odd under bound 3, got 2$"),
+        ((1, 0, 5, 2), 3, "^digit 5 exceeds bound 3$"),
+        ((1, -1, [2], 2), 1, r"^digits must be integers, got \[2\]$"),
+    )
+    for digits, bound, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SignedExpansion(digits, bound)
 
 
 def test_expansion_accepts_list_input():
