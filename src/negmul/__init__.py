@@ -19,6 +19,7 @@ from .algorithms import (
     neg_scalar_mul,
     neg_scalar_mul_online,
     scalar_mul,
+    walk_ledgers,
     windowed_neg_scalar_mul,
 )
 from .backends import (
@@ -45,6 +46,7 @@ from .groups import NegationAwareGroup, prices_of
 from .recoding import RECODING_FORMS, SignedExpansion, binary_expansion, naf, recode, width_w_naf
 from .verify import (
     MAX_VERIFY_N,
+    MIN_VERIFY_N,
     VERIFY_PRIMES,
     Mismatch,
     default_verify_algorithms,
@@ -65,6 +67,7 @@ __all__ = [
     "DEFAULT_RATIOS",
     "HYPERELLIPTIC_PROFILE",
     "MAX_VERIFY_N",
+    "MIN_VERIFY_N",
     "MIXED_MODES",
     "Mismatch",
     "ModularGroup",
@@ -94,6 +97,7 @@ __all__ = [
     "savings_percent",
     "scalar_mul",
     "verify_universal_agreement",
+    "walk_ledgers",
     "weighted_total",
     "width_w_naf",
     "windowed_neg_scalar_mul",

@@ -2,7 +2,8 @@
 
 Every driver walks a signed-digit expansion most-significant digit first and
 returns the product together with a ledger of the group operations it
-performed. The negating drivers keep the intermediate result correct only up
+performed, made from the run's shape by walk_ledgers when it is first read.
+The negating drivers keep the intermediate result correct only up
 to sign: a one-bit flag f counts negations mod 2 and maintains
 
     (-1)**f * E  ==  (value of the digits consumed so far) * D
@@ -21,7 +22,6 @@ recoding forms it runs on, default first, and a runner for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple
 
 from .costs import CostLedger
@@ -41,18 +41,92 @@ class TraceStep(NamedTuple):
     element: Element
 
 
-@dataclass
 class MulResult:
     """Product element plus the accounting for the run that produced it.
 
-    table_ledger, when present, is the portion of ledger spent constructing
-    the odd-multiples table (its charges are included in ledger as well).
+    ledger counts the group operations the run performed; table_ledger is
+    the part of it spent building the odd-multiples table, or None when the
+    run built no table. A walk records only the shape of its run, and both
+    ledgers are made from that shape by walk_ledgers on the first read of
+    either; later reads return the same objects, so a charge to one persists.
+    A run that never reads them makes no ledger at all.
     """
 
-    element: Element
-    ledger: CostLedger
-    trace: list[TraceStep] | None = None
-    table_ledger: CostLedger | None = None
+    __slots__ = ("element", "trace", "_ledger", "_table_ledger", "_shape")
+
+    def __init__(
+        self,
+        element: Element,
+        ledger: CostLedger | None = None,
+        trace: list[TraceStep] | None = None,
+        table_ledger: CostLedger | None = None,
+        *,
+        shape: tuple | None = None,
+    ) -> None:
+        if (ledger is None) == (shape is None):
+            raise ValueError("a MulResult takes either a ledger or the shape of its run")
+        self.element = element
+        self.trace = trace
+        self._ledger = ledger
+        self._table_ledger = table_ledger
+        self._shape = shape
+
+    @property
+    def ledger(self) -> CostLedger:
+        if self._shape is not None:
+            self._make_ledgers()
+        return self._ledger
+
+    @property
+    def table_ledger(self) -> CostLedger | None:
+        if self._shape is not None:
+            self._make_ledgers()
+        return self._table_ledger
+
+    def _make_ledgers(self) -> None:
+        self._ledger, self._table_ledger = walk_ledgers(*self._shape)
+        self._shape = None
+
+
+def walk_ledgers(
+    length: int,
+    weight: int,
+    negative: bool,
+    fuse_dbl: bool,
+    fuse_add: bool,
+    lookahead: bool,
+    table_bound: int | None,
+) -> tuple[CostLedger, CostLedger | None]:
+    """The ledger of one walk, and of its table, from the expansion's shape alone.
+
+    length and weight are the expansion's (both at least 1); negative says
+    whether a digit is negative, which only a walk with neither a table nor a
+    fused step reads. The rest are _walk's parameters. The count: the table
+    (one dbl when table_bound >= 3, entries - 1 adds and one neg per entry),
+    or without one a neg storing -D when a step is fused or a digit is
+    negative; length - 1 doublings and weight - 1 additions of the chosen
+    kinds; and a closing neg exactly when there is no lookahead and
+    (length - 1) * fuse_dbl + (weight - 1) * fuse_add is odd.
+    """
+    table_ledger = None
+    if table_bound is not None:
+        table_ledger = CostLedger()
+        entries = (table_bound + 1) // 2
+        if table_bound >= 3:
+            table_ledger.charge("dbl")
+            table_ledger.charge("add", entries - 1)
+        table_ledger.charge("neg", entries)
+        ledger = table_ledger.copy()
+    else:
+        ledger = CostLedger()
+        if fuse_dbl or fuse_add or negative:
+            ledger.charge("neg")
+    doublings, additions = length - 1, weight - 1
+    ledger.charge("neg_dbl" if fuse_dbl else "dbl", doublings)
+    ledger.charge("neg_add" if fuse_add else "add", additions)
+    if not lookahead and (doublings * fuse_dbl + additions * fuse_add) % 2:
+        ledger.charge("neg")
+    return ledger, table_ledger
 
 
 def _require_nonempty(e: SignedExpansion) -> None:
@@ -70,14 +144,11 @@ def _require_unit_digits(e: SignedExpansion) -> None:
                 raise ValueError(f"digits must lie in {{-1, 0, 1}}, got {d}")
 
 
-def _odd_multiples(
-    D: Element, group: NegationAwareGroup, bound: int
-) -> tuple[dict[int, Element], CostLedger]:
-    """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound], and its ledger.
+def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[int, Element]:
+    """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
 
     Chain: 2D once, then successive additions; one negation per entry.
     """
-    ledger = CostLedger()
     table = {1: D, -1: group.neg(D)}
     if bound >= 3:
         two_d = group.dbl(D)
@@ -86,10 +157,7 @@ def _odd_multiples(
             current = group.add(current, two_d)
             table[r] = current
             table[-r] = group.neg(current)
-        ledger.charge("dbl")
-        ledger.charge("add", len(table) // 2 - 1)
-    ledger.charge("neg", len(table) // 2)
-    return table, ledger
+    return table
 
 
 def _walk(
@@ -111,29 +179,26 @@ def _walk(
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
     at 1. table_bound, when given, builds the odd-multiples table up to that
-    digit and reports its cost in table_ledger; otherwise the addends are
-    {D, -D}, with -D stored only when the walk can flip or a digit is negative.
-    The loop calls the group directly; the ledger counts each kind once per
-    run: the table, length - 1 doublings, weight - 1 additions and the
-    closing negation, if any.
+    digit; otherwise the addends are {D, -D}, with -D stored only when the
+    walk can flip or a digit is negative. The loop calls the group directly
+    and counts nothing: the result records the run's shape (length, weight,
+    negative and these parameters), from which walk_ledgers makes its
+    ledgers when they are read.
     """
     digits = e.digits
-    table_ledger = None
+    # a negative digit matters only where nothing else stores -D
+    negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
     if table_bound is not None:
-        table, table_ledger = _odd_multiples(D, group, table_bound)
-        ledger = table_ledger.copy()
+        table = _odd_multiples(D, group, table_bound)
+    elif fuse_dbl or fuse_add or negative:
+        table = {1: D, -1: group.neg(D)}
     else:
-        ledger = CostLedger()
-        if fuse_dbl or fuse_add or any(d < 0 for d in digits):
-            table = {1: D, -1: group.neg(D)}
-            ledger.charge("neg")
-        else:
-            table = {1: D}
-    doublings = len(digits) - 1
-    additions = doublings - digits.count(0)
+        table = {1: D}
+    length = len(digits)
+    weight = length - digits.count(0)
     f = 0
     if lookahead:
-        f = (doublings * fuse_dbl + additions * fuse_add) % 2
+        f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) % 2
     dbl, dbl_kind = (group.neg_dbl, "neg_dbl") if fuse_dbl else (group.dbl, "dbl")
     add, add_kind = (group.neg_add, "neg_add") if fuse_add else (group.add, "add")
     steps: list[TraceStep] | None = [] if trace else None
@@ -150,15 +215,13 @@ def _walk(
             f ^= fuse_add
             if steps is not None:
                 steps.append(TraceStep(add_kind, f, E))
-    ledger.charge(dbl_kind, doublings)
-    ledger.charge(add_kind, additions)
     if f:
         E = group.neg(E)
-        ledger.charge("neg")
         f = 0
         if steps is not None:
             steps.append(TraceStep("final_neg", f, E))
-    return MulResult(E, ledger, steps, table_ledger)
+    shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
+    return MulResult(E, trace=steps, shape=shape)
 
 
 def double_and_add(

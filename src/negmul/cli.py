@@ -14,7 +14,7 @@ from .backends import ModularGroup, load_profile, preset
 from .bench import MAX_BITS, MIN_BITS, run_bench
 from .costs import DEFAULT_RATIOS, OP_KINDS, CostRatios
 from .recoding import MAX_WIDTH, MIN_WIDTH, RECODING_FORMS, recode
-from .verify import MAX_VERIFY_N, verify_universal_agreement
+from .verify import MAX_VERIFY_N, MIN_VERIFY_N, verify_universal_agreement
 
 
 def _scalar(text: str) -> int:
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="exhaustively compare all drivers against modular arithmetic"
     )
-    verify.add_argument("--max-n", type=_bounded(1, MAX_VERIFY_N, "max-n"), default=97)
+    verify.add_argument("--max-n", type=_bounded(MIN_VERIFY_N, MAX_VERIFY_N, "max-n"), default=97)
     verify.add_argument(
         "--max-m-multiplier", type=_bounded(1, 1024, "max-m-multiplier"), default=4
     )

@@ -13,6 +13,7 @@ recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
 
@@ -80,14 +81,23 @@ class SignedExpansion:
 def binary_expansion(m: int) -> SignedExpansion:
     """Plain base-2 digits of m, most-significant first."""
     _require_nonnegative(m)
-    if m == 0:
-        return SignedExpansion((), 1)
-    return SignedExpansion(tuple(int(b) for b in bin(m)[2:]), 1)
+    return SignedExpansion(tuple(_bits(m)) if m else (), 1)
 
 
 def naf(m: int) -> SignedExpansion:
-    """Nonadjacent form of m, the canonical sparsest signed binary expansion."""
-    return width_w_naf(m, 2)
+    """Nonadjacent form of m, the canonical sparsest signed binary expansion.
+
+    Read off 3m: NAF digit i - 1 is nonzero exactly where 3m and m differ at
+    bit i > 0, and it is +1 where 3m has that bit, -1 where m has it.
+    """
+    _require_nonnegative(m)
+    if m == 0:
+        return SignedExpansion((), 1)
+    triple = 3 * m
+    differ = triple ^ m
+    plus = _bits((triple & differ) >> 1)
+    minus = _bits((m & differ) >> 1, len(plus))
+    return SignedExpansion(tuple(map(sub, plus, minus)), 1)
 
 
 def width_w_naf(m: int, w: int) -> SignedExpansion:
@@ -126,6 +136,14 @@ def recode(m: int, form: str, width: int) -> SignedExpansion:
     if form == "wnaf":
         return width_w_naf(m, width)
     raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(m: int, width: int = 0) -> bytes:
+    """m's base-2 digits as bytes of 0s and 1s, most-significant first, zero-padded to width."""
+    return format(m, f"0{width}b").encode().translate(_BIT_VALUES)
 
 
 def _digit_error(d: int, bound: int) -> str | None:

@@ -12,8 +12,9 @@ from .recoding import recode
 
 VERIFY_PRIMES = (5, 7, 11, 31, 97)
 
-# no bundled prime lies above it, so a larger max_n would check nothing more
-MAX_VERIFY_N = VERIFY_PRIMES[-1]
+# no bundled prime lies below MIN_VERIFY_N or above MAX_VERIFY_N, so a smaller
+# max_n would check nothing at all and a larger one nothing more
+MIN_VERIFY_N, MAX_VERIFY_N = VERIFY_PRIMES[0], VERIFY_PRIMES[-1]
 
 VERIFY_WIDTHS = (2, 3, 4)
 
@@ -69,9 +70,14 @@ def verify_universal_agreement(
     Covers every prime n <= max_n from VERIFY_PRIMES, every base element D
     in Z/n, and every scalar m below multiplier * n. Returns the number of
     products checked and the mismatches found (capped at MAX_MISMATCHES).
+    max_n, an int in [MIN_VERIFY_N, MAX_VERIFY_N], and multiplier, a positive
+    int, are checked before anything runs.
     """
-    if not 1 <= max_n <= MAX_VERIFY_N:
-        raise ValueError(f"max_n must be in [1, {MAX_VERIFY_N}], got {max_n}")
+    for name, value in (("max_n", max_n), ("multiplier", multiplier)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not MIN_VERIFY_N <= max_n <= MAX_VERIFY_N:
+        raise ValueError(f"max_n must be in [{MIN_VERIFY_N}, {MAX_VERIFY_N}], got {max_n}")
     if multiplier < 1:
         raise ValueError(f"multiplier must be positive, got {multiplier}")
     algs = dict(algorithms) if algorithms is not None else default_verify_algorithms()

@@ -1,6 +1,7 @@
 """Tests for the scalar-multiplication drivers."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from negmul import (
     ModularGroup,
     PICARD_PROFILE,
     CostChargingGroup,
+    CostLedger,
+    MulResult,
     SignedExpansion,
     binary_expansion,
     double_and_add,
@@ -24,9 +27,12 @@ from negmul import (
     prices_of,
     scalar_mul,
     verify_universal_agreement,
+    walk_ledgers,
     width_w_naf,
     windowed_neg_scalar_mul,
 )
+from negmul import algorithms
+from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 
@@ -418,6 +424,70 @@ def test_trivial_group_runs_charge_what_the_counting_group_runs_do():
                     assert got.table_ledger == want.table_ledger, (algo, form, width, m)
 
 
+def test_table_ledger_equals_the_calls_that_build_the_table():
+    # every table bound a width gives, and the small ones, even included, that
+    # the baseline takes from an expansion's digit_bound; the table built alone
+    widths = range(MIN_WIDTH, MAX_WIDTH + 1)
+    for bound in sorted({*range(1, 34), *((1 << (w - 1)) - 1 for w in widths)}):
+        g = CountingGroup()
+        table = _odd_multiples(1, g, bound)
+        assert table == {d: d for d in range(-bound, bound + 1) if d % 2}, bound
+        ledger, table_ledger = walk_ledgers(1, 1, False, True, True, False, bound)
+        assert table_ledger.counts() == g.calls, bound
+        assert ledger == table_ledger, bound  # one digit: no step, no closing negation
+
+
+def test_ledgers_are_made_once_on_first_read():
+    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), 1, CountingGroup(), 4)
+    table = res.table_ledger
+    ledger = res.ledger
+    assert res.ledger is ledger and res.table_ledger is table
+    negs = ledger.count("neg")
+    ledger.charge("neg")
+    assert res.ledger.count("neg") == negs + 1
+    assert res.table_ledger.count("neg") == 4
+
+    res = neg_scalar_mul(naf(1000), 1, CountingGroup())
+    assert res.table_ledger is None
+    assert res.ledger is res.ledger
+
+    # scalar_mul's negation of the base lands on the ledger the result keeps
+    g = CountingGroup()
+    res = scalar_mul(-1000, 1, g, "neg")
+    assert res.ledger.count("neg") == g.calls["neg"] == 2
+
+
+def test_mul_result_takes_a_ledger_or_a_shape():
+    ledger = CostLedger()
+    res = MulResult(7, ledger)
+    assert res.ledger is ledger and res.table_ledger is None and res.trace is None
+    with pytest.raises(ValueError, match="either a ledger or the shape"):
+        MulResult(7)
+    with pytest.raises(ValueError, match="either a ledger or the shape"):
+        MulResult(7, ledger, shape=(1, 1, False, True, True, False, None))
+
+
+def test_verify_makes_no_ledger(monkeypatch):
+    calls = Counter()
+    charge, make_ledgers = CostLedger.charge, algorithms.walk_ledgers
+
+    def counting_charge(self, kind, times=1):
+        calls["charge"] += 1
+        charge(self, kind, times)
+
+    def counting_walk_ledgers(*shape):
+        calls["walk_ledgers"] += 1
+        return make_ledgers(*shape)
+
+    monkeypatch.setattr(CostLedger, "charge", counting_charge)
+    monkeypatch.setattr(algorithms, "walk_ledgers", counting_walk_ledgers)
+    assert verify_universal_agreement(max_n=11) == (6240, [])
+    assert calls == {}
+    # the counters see a ledger that is read
+    assert scalar_mul(5, 1, ModularGroup(11)).ledger.count("neg_dbl") == 2
+    assert calls["walk_ledgers"] == 1 and calls["charge"] > 0
+
+
 def test_universal_agreement_small():
     checked, mismatches = verify_universal_agreement(max_n=11)
     assert mismatches == []
@@ -451,11 +521,16 @@ def test_verify_reports_concrete_counterexample():
 
 
 def test_verify_validates_arguments():
-    for max_n in (98, 513):
-        with pytest.raises(ValueError, match="max_n"):
+    for max_n in (0, 1, 4, 98, 513):
+        with pytest.raises(ValueError, match=f"^max_n must be in \\[5, 97\\], got {max_n}$"):
             verify_universal_agreement(max_n=max_n)
     with pytest.raises(ValueError, match="multiplier"):
         verify_universal_agreement(max_n=5, multiplier=0)
+    for bad in (True, False, 5.0, 11.5, "11", None):
+        with pytest.raises(ValueError, match=f"^max_n must be an integer, got {bad!r}$"):
+            verify_universal_agreement(max_n=bad)
+        with pytest.raises(ValueError, match=f"^multiplier must be an integer, got {bad!r}$"):
+            verify_universal_agreement(max_n=5, multiplier=bad)
 
 
 def test_drivers_work_on_minimal_group_implementations():

@@ -125,7 +125,8 @@ def test_verify_failure_formatting(monkeypatch, capsys):
 
 
 def test_verify_rejects_out_of_range_max_n(capsys):
-    for max_n in ("98", "513"):
+    # below the smallest bundled prime, 5, verify would check nothing
+    for max_n in ("0", "1", "4", "98", "513"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--max-n", max_n])
         assert exc.value.code == 2

@@ -126,6 +126,33 @@ def test_wnaf_equals_the_digit_by_digit_reference(m, w):
     assert e.value == m
 
 
+def bin_digits(m):
+    """Binary digits of m >= 0 as bin() spells them; () for 0."""
+    return tuple(int(b) for b in bin(m)[2:]) if m else ()
+
+
+def test_naf_and_binary_equal_the_references_small():
+    for m in range(1 << 12):
+        assert naf(m).digits == reference_width_w_naf(m, 2), m
+        assert binary_expansion(m).digits == bin_digits(m), m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=st.integers(0, (1 << 4096) - 1))
+def test_naf_and_binary_equal_the_references(m):
+    assert naf(m).digits == reference_width_w_naf(m, 2)
+    assert binary_expansion(m).digits == bin_digits(m)
+
+
+def test_naf_and_binary_reject_what_they_cannot_recode():
+    for recoding in (naf, binary_expansion):
+        with pytest.raises(ValueError, match="^scalar must be nonnegative, got -1$"):
+            recoding(-1)
+        for bad in (True, 1.5, "3"):
+            with pytest.raises(ValueError, match=f"^scalar must be an integer, got {bad!r}$"):
+                recoding(bad)
+
+
 def test_naf_unique_among_nonadjacent_expansions_small():
     by_value = nonadjacent_expansions(12)
     for m in range(1 << 10):
