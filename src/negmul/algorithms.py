@@ -1,8 +1,8 @@
 """Scalar-multiplication drivers over a negation-aware group.
 
 Every driver walks a signed-digit expansion most-significant digit first and
-returns the product together with a ledger of the group operations it
-performed, made from the run's shape by walk_ledgers when it is first read.
+returns the product together with the shape of its run, from which
+walk_ledgers makes a ledger of the group operations it performed on each read.
 The negating drivers keep the intermediate result correct only up
 to sign: a one-bit flag f counts negations mod 2 and maintains
 
@@ -10,9 +10,9 @@ to sign: a one-bit flag f counts negations mod 2 and maintains
 
 after every step. Doublings become fused negate-doubles, digit additions
 become fused negate-adds, and because the addend is picked from a table of
-signed multiples {d: d*D} (the pair {D, -D}, or the odd multiples and their
-negatives), the digit value never multiplies anything; the bookkeeping is one
-integer flip per group operation.
+signed multiples {d: d*D} (the odd multiples and their negatives, whose
+bound-1 case is the pair {D, -D}), the digit value never multiplies anything;
+the bookkeeping is one integer flip per group operation.
 
 All six drivers are one walk (_walk) fixed by three choices: which steps are
 fused, the start policy (lookahead parity, or start at f = 0 and negate once
@@ -41,51 +41,27 @@ class TraceStep(NamedTuple):
     element: Element
 
 
-class MulResult:
-    """Product element plus the accounting for the run that produced it.
+class MulResult(NamedTuple):
+    """Product element, the shape of the run that produced it, and its trace.
 
-    ledger counts the group operations the run performed; table_ledger is
-    the part of it spent building the odd-multiples table, or None when the
-    run built no table. A walk records only the shape of its run, and both
-    ledgers are made from that shape by walk_ledgers on the first read of
-    either; later reads return the same objects, so a charge to one persists.
-    A run that never reads them makes no ledger at all.
+    shape is walk_ledgers' arguments for the run. ledger counts the group
+    operations the run performed; table_ledger is the part of it spent
+    building the odd-multiples table, or None when the run was given no
+    table bound. Both are made from the shape by walk_ledgers on each read,
+    so every read is a fresh ledger and a charge to one does not persist.
     """
 
-    __slots__ = ("element", "trace", "_ledger", "_table_ledger", "_shape")
-
-    def __init__(
-        self,
-        element: Element,
-        ledger: CostLedger | None = None,
-        trace: list[TraceStep] | None = None,
-        table_ledger: CostLedger | None = None,
-        *,
-        shape: tuple | None = None,
-    ) -> None:
-        if (ledger is None) == (shape is None):
-            raise ValueError("a MulResult takes either a ledger or the shape of its run")
-        self.element = element
-        self.trace = trace
-        self._ledger = ledger
-        self._table_ledger = table_ledger
-        self._shape = shape
+    element: Element
+    shape: tuple
+    trace: list[TraceStep] | None = None
 
     @property
     def ledger(self) -> CostLedger:
-        if self._shape is not None:
-            self._make_ledgers()
-        return self._ledger
+        return walk_ledgers(*self.shape)[0]
 
     @property
     def table_ledger(self) -> CostLedger | None:
-        if self._shape is not None:
-            self._make_ledgers()
-        return self._table_ledger
-
-    def _make_ledgers(self) -> None:
-        self._ledger, self._table_ledger = walk_ledgers(*self._shape)
-        self._shape = None
+        return walk_ledgers(*self.shape)[1]
 
 
 def walk_ledgers(
@@ -96,37 +72,44 @@ def walk_ledgers(
     fuse_add: bool,
     lookahead: bool,
     table_bound: int | None,
+    negated_base: bool = False,
 ) -> tuple[CostLedger, CostLedger | None]:
     """The ledger of one walk, and of its table, from the expansion's shape alone.
 
-    length and weight are the expansion's (both at least 1); negative says
-    whether a digit is negative, which only a walk with neither a table nor a
-    fused step reads. The rest are _walk's parameters. The count: the table
-    (one dbl when table_bound >= 3, entries - 1 adds and one neg per entry),
-    or without one a neg storing -D when a step is fused or a digit is
-    negative; length - 1 doublings and weight - 1 additions of the chosen
-    kinds; and a closing neg exactly when there is no lookahead and
-    (length - 1) * fuse_dbl + (weight - 1) * fuse_add is odd.
+    length and weight are the expansion's; negative says whether a digit is
+    negative, which only a walk with neither a table nor a fused step reads;
+    negated_base says scalar_mul negated D first. The rest are _walk's. The
+    count: the odd-multiples table up to table_bound, or up to 1 (-D) when a
+    step is fused or a digit is negative (one dbl when the bound is >= 3,
+    entries - 1 adds and one neg per entry); length - 1 doublings and
+    weight - 1 additions of the chosen kinds; a closing neg exactly when there
+    is no lookahead and (length - 1) * fuse_dbl + (weight - 1) * fuse_add is
+    odd; and a neg for a negated base.
     """
-    table_ledger = None
-    if table_bound is not None:
-        table_ledger = CostLedger()
-        entries = (table_bound + 1) // 2
-        if table_bound >= 3:
-            table_ledger.charge("dbl")
-            table_ledger.charge("add", entries - 1)
-        table_ledger.charge("neg", entries)
-        ledger = table_ledger.copy()
-    else:
-        ledger = CostLedger()
-        if fuse_dbl or fuse_add or negative:
-            ledger.charge("neg")
+    if not 1 <= weight <= length:
+        raise ValueError(f"a run needs 1 <= weight <= length, got weight {weight}, length {length}")
+    if table_bound is not None and table_bound < 1:
+        raise ValueError(f"table_bound must be None or at least 1, got {table_bound}")
+    ledger = CostLedger()
+    if table_bound is not None or fuse_dbl or fuse_add or negative:
+        entries = ((table_bound or 1) + 1) // 2
+        if entries > 1:
+            ledger.charge("dbl")
+            ledger.charge("add", entries - 1)
+        ledger.charge("neg", entries)
+    table_ledger = None if table_bound is None else ledger.copy()
     doublings, additions = length - 1, weight - 1
     ledger.charge("neg_dbl" if fuse_dbl else "dbl", doublings)
     ledger.charge("neg_add" if fuse_add else "add", additions)
     if not lookahead and (doublings * fuse_dbl + additions * fuse_add) % 2:
         ledger.charge("neg")
+    if negated_base:
+        ledger.charge("neg")
     return ledger, table_ledger
+
+
+# the shape of a run that performs no group operation
+_NO_OPS = (1, 1, False, False, False, True, None)
 
 
 def _require_nonempty(e: SignedExpansion) -> None:
@@ -178,20 +161,16 @@ def _walk(
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. table_bound, when given, builds the odd-multiples table up to that
-    digit; otherwise the addends are {D, -D}, with -D stored only when the
-    walk can flip or a digit is negative. The loop calls the group directly
-    and counts nothing: the result records the run's shape (length, weight,
-    negative and these parameters), from which walk_ledgers makes its
-    ledgers when they are read.
+    at 1. The addends are the odd-multiples table up to table_bound, or up
+    to 1 ({D, -D}) when the walk can flip or a digit is negative, else D
+    alone. The loop counts nothing: the result records the run's shape
+    (length, weight, negative and these parameters) for walk_ledgers.
     """
     digits = e.digits
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
-    if table_bound is not None:
-        table = _odd_multiples(D, group, table_bound)
-    elif fuse_dbl or fuse_add or negative:
-        table = {1: D, -1: group.neg(D)}
+    if table_bound is not None or fuse_dbl or fuse_add or negative:
+        table = _odd_multiples(D, group, table_bound or 1)
     else:
         table = {1: D}
     length = len(digits)
@@ -221,7 +200,7 @@ def _walk(
         if steps is not None:
             steps.append(TraceStep("final_neg", f, E))
     shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
-    return MulResult(E, trace=steps, shape=shape)
+    return MulResult(E, shape, steps)
 
 
 def double_and_add(
@@ -239,7 +218,7 @@ def double_and_add(
     when a negative digit actually occurs.
     """
     if e.length == 0:
-        return MulResult(group.identity, CostLedger(), [] if trace else None)
+        return MulResult(group.identity, _NO_OPS, [] if trace else None)
     bound = e.digit_bound if e.digit_bound > 1 else None
     return _walk(
         e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
@@ -404,9 +383,9 @@ def scalar_mul(
     if negative:
         m, D = -m, group.neg(D)
     if m <= 1:
-        result = MulResult(D if m else group.identity, CostLedger())
+        result = MulResult(D if m else group.identity, _NO_OPS)
     else:
         result = run(e, D, group, width, trace)
     if negative:
-        result.ledger.charge("neg")
+        result = result._replace(shape=(*result.shape, True))
     return result

@@ -34,7 +34,7 @@ from negmul import (
 from negmul import algorithms
 from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
-from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH
 
 from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
 
@@ -42,6 +42,13 @@ from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
 # every registry entry on its default form, the windowed one at widths 2-6
 REGISTRY_RUNS = [(algo, 4) for algo in ALGORITHMS if algo != "window"]
 REGISTRY_RUNS += [("window", w) for w in range(2, 7)]
+# every registry entry on every form it lists, wnaf at widths 2-6
+FORM_RUNS = [
+    (algo, form, width)
+    for algo, (forms, _) in ALGORITHMS.items()
+    for form in forms
+    for width in (range(2, 7) if form == "wnaf" else (4,))
+]
 
 
 def counts(ledger):
@@ -389,39 +396,30 @@ def test_every_algorithm_computes_exact_coefficients_in_the_free_group():
             assert scalar_mul(m, 1, g, algo, width=width).element == m, (algo, width, m)
 
 
-def assert_ledger_counts_the_calls(m, algo, width):
+def assert_ledger_counts_the_calls(m, algo, form, width):
     g = CountingGroup()
-    res = scalar_mul(m, 1, g, algo, width=width)
-    assert res.element == m, (algo, width, m)
-    assert res.ledger.counts() == g.calls, (algo, width, m)
+    res = scalar_mul(m, 1, g, algo, form=form, width=width)
+    assert res.element == m, (algo, form, width, m)
+    assert res.ledger.counts() == g.calls, (algo, form, width, m)
+    # bench runs its drivers in the trivial group and reads only their ledgers
+    trivial = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
+    got = scalar_mul(m, trivial.identity, trivial, algo, form=form, width=width)
+    assert got.element == 0, (algo, form, width, m)
+    assert got.ledger == res.ledger, (algo, form, width, m)
+    assert got.table_ledger == res.table_ledger, (algo, form, width, m)
 
 
 def test_ledger_counts_equal_the_group_calls_made():
-    for algo, width in REGISTRY_RUNS:
+    for run in FORM_RUNS:
         for m in range(1, 1 << 10):
-            assert_ledger_counts_the_calls(m, algo, width)
-            assert_ledger_counts_the_calls(-m, algo, width)
+            assert_ledger_counts_the_calls(m, *run)
+            assert_ledger_counts_the_calls(-m, *run)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(run=st.sampled_from(REGISTRY_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
+@given(run=st.sampled_from(FORM_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
 def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
     assert_ledger_counts_the_calls(m, *run)
-
-
-def test_trivial_group_runs_charge_what_the_counting_group_runs_do():
-    # bench runs its drivers in the trivial group and reads only their ledgers
-    trivial = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
-    for algo, (forms, run) in ALGORITHMS.items():
-        for form in forms:
-            for width in range(2, 7) if form == "wnaf" else (4,):
-                for m in range(1, 1 << 10):
-                    e = recode(m, form, width)
-                    got = run(e, trivial.identity, trivial, width, False)
-                    want = run(e, 1, CountingGroup(), width, False)
-                    assert got.element == 0
-                    assert got.ledger == want.ledger, (algo, form, width, m)
-                    assert got.table_ledger == want.table_ledger, (algo, form, width, m)
 
 
 def test_table_ledger_equals_the_calls_that_build_the_table():
@@ -437,34 +435,36 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
         assert ledger == table_ledger, bound  # one digit: no step, no closing negation
 
 
-def test_ledgers_are_made_once_on_first_read():
+def test_ledgers_are_made_from_the_shape():
+    assert MulResult._fields == ("element", "shape", "trace")
     res = windowed_neg_scalar_mul(width_w_naf(1000, 4), 1, CountingGroup(), 4)
-    table = res.table_ledger
-    ledger = res.ledger
-    assert res.ledger is ledger and res.table_ledger is table
-    negs = ledger.count("neg")
-    ledger.charge("neg")
-    assert res.ledger.count("neg") == negs + 1
+    for read in (lambda: res.ledger, lambda: res.table_ledger):
+        first = read()
+        assert read() == first and read() is not first
+        first.charge("neg")
+        assert read().count("neg") == first.count("neg") - 1
+    assert res.table_ledger == walk_ledgers(*res.shape)[1]
     assert res.table_ledger.count("neg") == 4
 
-    res = neg_scalar_mul(naf(1000), 1, CountingGroup())
-    assert res.table_ledger is None
-    assert res.ledger is res.ledger
-
-    # scalar_mul's negation of the base lands on the ledger the result keeps
+    # scalar_mul's negation of the base is one more neg in the shape
     g = CountingGroup()
     res = scalar_mul(-1000, 1, g, "neg")
     assert res.ledger.count("neg") == g.calls["neg"] == 2
+    assert res.ledger.counts() == g.calls
+    for m in (0, 1):
+        assert counts(scalar_mul(m, 1, CountingGroup()).ledger) == {}
+    assert counts(scalar_mul(-1, 1, CountingGroup()).ledger) == {"neg": 1}
 
 
-def test_mul_result_takes_a_ledger_or_a_shape():
-    ledger = CostLedger()
-    res = MulResult(7, ledger)
-    assert res.ledger is ledger and res.table_ledger is None and res.trace is None
-    with pytest.raises(ValueError, match="either a ledger or the shape"):
-        MulResult(7)
-    with pytest.raises(ValueError, match="either a ledger or the shape"):
-        MulResult(7, ledger, shape=(1, 1, False, True, True, False, None))
+def test_walk_ledgers_rejects_shapes_that_are_not_runs():
+    for length, weight in ((3, 5), (0, 0), (2, 0), (-1, -1)):
+        message = f"^a run needs 1 <= weight <= length, got weight {weight}, length {length}$"
+        with pytest.raises(ValueError, match=message):
+            walk_ledgers(length, weight, False, True, True, True, None)
+    for bound in (0, -3):
+        message = f"^table_bound must be None or at least 1, got {bound}$"
+        with pytest.raises(ValueError, match=message):
+            walk_ledgers(3, 2, False, True, True, False, bound)
 
 
 def test_verify_makes_no_ledger(monkeypatch):
