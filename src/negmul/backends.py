@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import operator
 import warnings
-from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .costs import OP_KINDS, CostRatios, CostVector
 from .groups import Element, NegationAwareGroup
@@ -69,10 +69,7 @@ class TrivialGroup(NegationAwareGroup):
         return "TrivialGroup()"
 
 
-@dataclass(frozen=True)
-class CostProfile:
-    """Named per-operation cost vectors for one family of group arithmetic."""
-
+class _CostProfileFields(NamedTuple):
     name: str
     add_cost: CostVector
     dbl_cost: CostVector
@@ -80,22 +77,40 @@ class CostProfile:
     neg_add_cost: CostVector
     neg_dbl_cost: CostVector
 
-    def __post_init__(self) -> None:
+
+class CostProfile(_CostProfileFields):
+    """Named per-operation cost vectors for one family of group arithmetic."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        add_cost: CostVector,
+        dbl_cost: CostVector,
+        neg_cost: CostVector,
+        neg_add_cost: CostVector,
+        neg_dbl_cost: CostVector,
+    ) -> CostProfile:
         # Fusing the negation should never price above the two-step form; a
         # profile violating that is suspicious but still usable. Comparing
         # counts componentwise flags only what is dearer at every ratio.
         for plain, fused, label in (
-            (self.add_cost, self.neg_add_cost, "neg_add"),
-            (self.dbl_cost, self.neg_dbl_cost, "neg_dbl"),
+            (add_cost, neg_add_cost, "neg_add"),
+            (dbl_cost, neg_dbl_cost, "neg_dbl"),
         ):
-            unfused = plain + self.neg_cost
-            if fused != unfused and all(
-                a >= b for a, b in zip(astuple(fused), astuple(unfused))
-            ):
+            unfused = plain + neg_cost
+            if fused != unfused and all(a >= b for a, b in zip(fused, unfused)):
                 warnings.warn(
-                    f"cost profile {self.name!r}: {label} is dearer than the unfused "
+                    f"cost profile {name!r}: {label} is dearer than the unfused "
                     "operation plus a negation, counting every field operation"
                 )
+        return super().__new__(cls, name, add_cost, dbl_cost, neg_cost, neg_add_cost, neg_dbl_cost)
+
+    # _replace builds through _make, so it is checked like the constructor
+    @classmethod
+    def _make(cls, iterable) -> CostProfile:
+        return cls(*iterable)
 
     def cost_of(self, kind: str) -> CostVector:
         if kind not in OP_KINDS:
@@ -141,7 +156,6 @@ def preset(name: str) -> CostProfile:
 
 
 _COMPONENT_KEYS = ("M", "S", "I", "A")
-_COMPONENT_FIELDS = ("mul", "sqr", "inv", "add_f")
 _RATIO_KEYS = ("sqr_per_mul", "inv_per_mul", "addf_per_mul")
 
 
@@ -179,7 +193,7 @@ def _parse_vector(path: Path, key: str, obj: object) -> CostVector:
     if unknown:
         raise ValueError(f"{path}: {key} has unknown components {unknown}")
     counts = {}
-    for component, field in zip(_COMPONENT_KEYS, _COMPONENT_FIELDS):
+    for component, field in zip(_COMPONENT_KEYS, CostVector._fields):
         value = obj.get(component, 0)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algorithms import ALGORITHMS
 from .backends import CostChargingGroup, CostProfile, TrivialGroup
@@ -55,8 +55,7 @@ def algorithms_for_form(form: str) -> tuple[str, ...]:
     return tuple(algo for algo, entry in ALGORITHMS.items() if form in entry.forms)
 
 
-@dataclass(frozen=True)
-class StepCosts:
+class StepCosts(NamedTuple):
     """Weighted cost of one plain step against its fused counterpart."""
 
     plain: Fraction
@@ -64,8 +63,7 @@ class StepCosts:
     savings: Fraction
 
 
-@dataclass(frozen=True)
-class AlgorithmEntry:
+class AlgorithmEntry(NamedTuple):
     """Aggregated accounting for one driver across the whole sample."""
 
     algo_id: str
@@ -75,8 +73,7 @@ class AlgorithmEntry:
     savings_vs_baseline: Fraction | None
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     """Everything a bench run measured, exact; renders to a table or JSON."""
 
     preset: str

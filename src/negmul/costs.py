@@ -11,29 +11,35 @@ comparisons in tests need no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
-_COMPONENTS = ("mul", "sqr", "inv", "add_f")
+
+class _CostVectorFields(NamedTuple):
+    mul: int
+    sqr: int
+    inv: int
+    add_f: int
 
 
-@dataclass(frozen=True, slots=True)
-class CostVector:
+class CostVector(_CostVectorFields):
     """Nonnegative counts of field operations: M, S, I and A."""
 
-    mul: int = 0
-    sqr: int = 0
-    inv: int = 0
-    add_f: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in _COMPONENTS:
-            value = getattr(self, name)
+    def __new__(cls, mul: int = 0, sqr: int = 0, inv: int = 0, add_f: int = 0) -> CostVector:
+        self = super().__new__(cls, mul, sqr, inv, add_f)
+        for name, value in zip(self._fields, self):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} count must be a nonnegative integer, got {value!r}")
+        return self
+
+    # _replace builds through _make, so it is checked like the constructor
+    @classmethod
+    def _make(cls, iterable) -> CostVector:
+        return cls(*iterable)
 
     def __add__(self, other: CostVector) -> CostVector:
         if not isinstance(other, CostVector):
@@ -47,32 +53,51 @@ class CostVector:
 
     def scaled(self, k: int) -> CostVector:
         """Componentwise k-fold multiple."""
-        if k < 0:
-            raise ValueError(f"scale factor must be nonnegative, got {k}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ValueError(f"scale factor must be a nonnegative integer, got {k!r}")
         return CostVector(k * self.mul, k * self.sqr, k * self.inv, k * self.add_f)
 
 
 ZERO_COST = CostVector()
 
 
-@dataclass(frozen=True)
-class CostRatios:
+class _CostRatiosFields(NamedTuple):
+    sqr_per_mul: Fraction
+    inv_per_mul: Fraction
+    addf_per_mul: Fraction
+
+
+class CostRatios(_CostRatiosFields):
     """Exact conversion weights into M-equivalents.
 
     Defaults: a squaring costs 2/3 of a multiplication, an inversion 10
-    multiplications, and field additions are not priced.
+    multiplications, and field additions are not priced. Each ratio is an
+    int, a Fraction or a fraction string such as "2/3", stored as a
+    Fraction; a float or bool is rejected, since it is not an exact ratio.
     """
 
-    sqr_per_mul: Fraction = Fraction(2, 3)
-    inv_per_mul: Fraction = Fraction(10)
-    addf_per_mul: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("sqr_per_mul", "inv_per_mul", "addf_per_mul"):
-            ratio = Fraction(getattr(self, name))
+    def __new__(
+        cls,
+        sqr_per_mul: Fraction | int | str = Fraction(2, 3),
+        inv_per_mul: Fraction | int | str = Fraction(10),
+        addf_per_mul: Fraction | int | str = Fraction(0),
+    ) -> CostRatios:
+        ratios = []
+        for name, value in zip(cls._fields, (sqr_per_mul, inv_per_mul, addf_per_mul)):
+            if isinstance(value, (float, bool)):
+                raise ValueError(f"{name} must be an exact ratio, got {value!r}")
+            ratio = Fraction(value)
             if ratio < 0:
                 raise ValueError(f"{name} must be nonnegative, got {ratio}")
-            object.__setattr__(self, name, ratio)
+            ratios.append(ratio)
+        return super().__new__(cls, *ratios)
+
+    # _replace builds through _make, so it is checked like the constructor
+    @classmethod
+    def _make(cls, iterable) -> CostRatios:
+        return cls(*iterable)
 
 
 DEFAULT_RATIOS = CostRatios()

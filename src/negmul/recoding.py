@@ -12,7 +12,6 @@ recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
@@ -28,7 +27,6 @@ def require_width(w: int) -> None:
         raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
 
 
-@dataclass(frozen=True)
 class SignedExpansion:
     """An immutable digit string plus the bound its digits respect.
 
@@ -38,26 +36,48 @@ class SignedExpansion:
     positive: these are expansions of nonnegative integers only.
     """
 
-    digits: tuple[int, ...]
-    digit_bound: int = 1
+    __slots__ = ("digits", "digit_bound")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        bound = self.digit_bound
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-            raise ValueError(f"digit_bound must be a positive integer, got {bound!r}")
+    digits: tuple[int, ...]
+    digit_bound: int
+
+    def __init__(self, digits: tuple[int, ...], digit_bound: int = 1) -> None:
+        digits = tuple(digits)
+        if not isinstance(digit_bound, int) or isinstance(digit_bound, bool) or digit_bound < 1:
+            raise ValueError(f"digit_bound must be a positive integer, got {digit_bound!r}")
         # Each distinct digit is checked once; only a failure scans the digits
         # in order, so that the message names the first bad one.
-        digits = self.digits
         if not set(map(type, digits)) <= {int} or any(
-            _digit_error(d, bound) for d in set(digits)
+            _digit_error(d, digit_bound) for d in set(digits)
         ):
             for d in digits:
-                error = _digit_error(d, bound)
+                error = _digit_error(d, digit_bound)
                 if error:
                     raise ValueError(error)
         if digits and digits[0] <= 0:
             raise ValueError(f"leading digit must be positive, got {digits[0]}")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "digit_bound", digit_bound)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SignedExpansion is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SignedExpansion is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.digits, self.digit_bound)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digits == other.digits and self.digit_bound == other.digit_bound
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.digit_bound))
+
+    def __repr__(self) -> str:
+        return f"SignedExpansion(digits={self.digits!r}, digit_bound={self.digit_bound!r})"
 
     @property
     def length(self) -> int:

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import negmul
 from negmul import cli
 from negmul.verify import Mismatch
 
@@ -236,3 +240,27 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Start-up cost: building the parser must not import these heavy modules
+# (dataclasses alone pulls in inspect, ast, dis and tokenize).
+STARTUP_CODE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import negmul.cli
+negmul.cli.build_parser()
+print(" ".join(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    src = Path(negmul.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP_CODE, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.split() == []

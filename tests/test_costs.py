@@ -51,6 +51,34 @@ def test_ratios_validation():
     assert ratios == DEFAULT_RATIOS
 
 
+def test_ratios_are_exact():
+    cases = (
+        ({"sqr_per_mul": 0.1}, "sqr_per_mul must be an exact ratio, got 0.1"),
+        ({"inv_per_mul": 10.0}, "inv_per_mul must be an exact ratio, got 10.0"),
+        ({"addf_per_mul": False}, "addf_per_mul must be an exact ratio, got False"),
+    )
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            CostRatios(**kwargs)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        CostRatios(True, False, True)
+    assert str(exc.value) == "sqr_per_mul must be an exact ratio, got True"
+    ratios = CostRatios(1, Fraction(5, 2), "1/10")
+    assert ratios == (1, Fraction(5, 2), Fraction(1, 10))
+    assert all(type(ratio) is Fraction for ratio in ratios)
+
+
+def test_replace_checks_like_the_constructor():
+    with pytest.raises(ValueError, match="^mul count must be a nonnegative integer, got -1$"):
+        ZERO_COST._replace(mul=-1)
+    with pytest.raises(ValueError, match="^sqr_per_mul must be an exact ratio, got 0.5$"):
+        DEFAULT_RATIOS._replace(sqr_per_mul=0.5)
+    half = DEFAULT_RATIOS._replace(sqr_per_mul="1/2")
+    assert half.sqr_per_mul == Fraction(1, 2) and type(half.sqr_per_mul) is Fraction
+    assert CostVector._make((1, 2, 3, 4)) == CostVector(1, 2, 3, 4)
+
+
 def test_vector_validation_and_arithmetic():
     with pytest.raises(ValueError, match="nonnegative"):
         CostVector(mul=-1)
@@ -62,6 +90,11 @@ def test_vector_validation_and_arithmetic():
     assert a.scaled(3) == CostVector(3, 6, 9, 12)
     with pytest.raises(ValueError, match="nonnegative"):
         a.scaled(-1)
+    for factor in (-1, True, False, 1.0, Fraction(2), "3"):
+        with pytest.raises(ValueError) as exc:
+            a.scaled(factor)
+        assert str(exc.value) == f"scale factor must be a nonnegative integer, got {factor!r}"
+    assert a.scaled(0) == ZERO_COST
 
 
 def test_weighted_total_is_linear():

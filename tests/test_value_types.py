@@ -1,0 +1,95 @@
+"""The value-type contract: equality, hashing, immutability and repr of negmul's records."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from negmul import (
+    PICARD_PROFILE,
+    BenchReport,
+    CostProfile,
+    CostRatios,
+    CostVector,
+    SignedExpansion,
+    run_bench,
+)
+from negmul.bench import AlgorithmEntry, StepCosts
+
+
+def _report():
+    return run_bench(PICARD_PROFILE, bits=8, samples=3, form="naf", seed=1)
+
+
+# type -> (a factory making equal, independent values, its field names, whether it hashes)
+VALUE_TYPES = {
+    CostVector: (lambda: CostVector(1, 2, 3, 4), ("mul", "sqr", "inv", "add_f"), True),
+    CostRatios: (
+        lambda: CostRatios(Fraction(1, 2), 7, "1/3"),
+        ("sqr_per_mul", "inv_per_mul", "addf_per_mul"),
+        True,
+    ),
+    CostProfile: (
+        lambda: CostProfile(
+            "p", CostVector(3), CostVector(4), CostVector(1), CostVector(2), CostVector(3)
+        ),
+        ("name", "add_cost", "dbl_cost", "neg_cost", "neg_add_cost", "neg_dbl_cost"),
+        True,
+    ),
+    SignedExpansion: (lambda: SignedExpansion([1, 0, -3], 3), ("digits", "digit_bound"), True),
+    StepCosts: (
+        lambda: StepCosts(Fraction(172), Fraction(159), Fraction(325, 43)),
+        ("plain", "fused", "savings"),
+        True,
+    ),
+    # an AlgorithmEntry holds a CostLedger and a BenchReport holds dicts: neither hashes
+    AlgorithmEntry: (
+        lambda: _report().algorithms[0],
+        ("algo_id", "ledger", "total_weighted", "mean_weighted", "savings_vs_baseline"),
+        False,
+    ),
+    BenchReport: (
+        _report,
+        (
+            "preset", "ratios", "bits", "samples", "form",
+            "width", "seed", "per_step", "algorithms", "prices",
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    make, fields, hashable = VALUE_TYPES[cls]
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    if hashable:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    assert a == b
+    text = repr(a)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{field}=" in text for field in fields)
+
+
+def test_signed_expansion_is_not_a_sequence():
+    e = SignedExpansion((1, 0, -1))
+    with pytest.raises(TypeError):
+        len(e)
+    with pytest.raises(TypeError):
+        iter(e)
+    assert e != SignedExpansion((1, 0, -1), 3)
+    assert e != (1, 0, -1)
+    assert repr(e) == "SignedExpansion(digits=(1, 0, -1), digit_bound=1)"
+    with pytest.raises(AttributeError):
+        del e.digits
+    assert copy.copy(e) == e == pickle.loads(pickle.dumps(e))
