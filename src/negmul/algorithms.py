@@ -165,6 +165,10 @@ def _walk(
     to 1 ({D, -D}) when the walk can flip or a digit is negative, else D
     alone. The loop counts nothing: the result records the run's shape
     (length, weight, negative and these parameters) for walk_ledgers.
+
+    With trace, the loop runs on _recording's wrappers of its dbl and add,
+    which append each step with the flag after it; the init and final_neg
+    steps are appended here. The group sees the same calls either way.
     """
     digits = e.digits
     # a negative digit matters only where nothing else stores -D
@@ -178,29 +182,58 @@ def _walk(
     f = 0
     if lookahead:
         f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) % 2
-    dbl, dbl_kind = (group.neg_dbl, "neg_dbl") if fuse_dbl else (group.dbl, "dbl")
-    add, add_kind = (group.neg_add, "neg_add") if fuse_add else (group.add, "add")
-    steps: list[TraceStep] | None = [] if trace else None
+    dbl = group.neg_dbl if fuse_dbl else group.dbl
+    add = group.neg_add if fuse_add else group.add
     E = table[-digits[0] if f else digits[0]]
-    if steps is not None:
-        steps.append(TraceStep("init", f, E))
+    steps: list[TraceStep] | None = None
+    if trace:
+        steps = [TraceStep("init", f, E)]
+        dbl, add = _recording(steps, f, dbl, add, fuse_dbl, fuse_add)
     for d in digits[1:]:
         E = dbl(E)
         f ^= fuse_dbl
-        if steps is not None:
-            steps.append(TraceStep(dbl_kind, f, E))
         if d:
             E = add(E, table[-d if f else d])
             f ^= fuse_add
-            if steps is not None:
-                steps.append(TraceStep(add_kind, f, E))
     if f:
         E = group.neg(E)
-        f = 0
         if steps is not None:
-            steps.append(TraceStep("final_neg", f, E))
+            steps.append(TraceStep("final_neg", 0, E))
     shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
     return MulResult(E, shape, steps)
+
+
+def _recording(
+    steps: list[TraceStep],
+    f: int,
+    dbl: Callable[[Element], Element],
+    add: Callable[[Element, Element], Element],
+    fuse_dbl: bool,
+    fuse_add: bool,
+) -> tuple[Callable[[Element], Element], Callable[[Element, Element], Element]]:
+    """dbl and add, each appending its TraceStep to steps after the call.
+
+    f is the walk's starting flag; the wrappers flip their own copy as the
+    walk flips its own, so each step records the flag after it.
+    """
+    dbl_kind = "neg_dbl" if fuse_dbl else "dbl"
+    add_kind = "neg_add" if fuse_add else "add"
+
+    def recorded_dbl(E: Element) -> Element:
+        nonlocal f
+        E = dbl(E)
+        f ^= fuse_dbl
+        steps.append(TraceStep(dbl_kind, f, E))
+        return E
+
+    def recorded_add(E: Element, A: Element) -> Element:
+        nonlocal f
+        E = add(E, A)
+        f ^= fuse_add
+        steps.append(TraceStep(add_kind, f, E))
+        return E
+
+    return recorded_dbl, recorded_add
 
 
 def double_and_add(

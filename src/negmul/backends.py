@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import operator
 import warnings
 from fractions import Fraction
@@ -168,6 +167,8 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
     values are exact fraction strings such as "2/3". Unknown keys anywhere
     are rejected.
     """
+    import json  # only profile loading needs it; kept off the start-up path
+
     path = Path(path)
     try:
         data = json.loads(path.read_text())

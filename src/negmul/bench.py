@@ -9,7 +9,6 @@ the very end, and only in table mode.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -137,6 +136,8 @@ class BenchReport(NamedTuple):
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, two-space indent; byte stable for a seed."""
+        import json  # only JSON output needs it; kept off the start-up path
+
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def render_table(self) -> str:

@@ -12,7 +12,7 @@ comparisons in tests need no tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, NoReturn
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
@@ -56,6 +56,13 @@ class CostVector(_CostVectorFields):
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"scale factor must be a nonnegative integer, got {k!r}")
         return CostVector(k * self.mul, k * self.sqr, k * self.inv, k * self.add_f)
+
+    # A tuple repeats under * and orders lexicographically; neither means
+    # anything for a cost, so both raise instead of answering.
+    def _unsupported(self, other: object) -> NoReturn:
+        raise TypeError("a CostVector supports + with another CostVector and scaled(k) only")
+
+    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unsupported
 
 
 ZERO_COST = CostVector()

@@ -12,6 +12,7 @@ recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import sub
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
@@ -126,25 +127,43 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     Right-to-left greedy construction: an odd remainder contributes its
     residue mod 2**w mapped into (-2**(w-1), 2**(w-1)) and is cleared, which
     forces at least w - 1 zeros before the next nonzero digit. For w = 2
-    this is exactly the NAF. Each run of zeros is emitted at once, its
-    length read off the lowest set bit, so the big-integer work is a few
-    operations per nonzero digit rather than per digit.
+    this is exactly the NAF.
+
+    One scan of m's binary string from the low end, with w zeros padded
+    above the top bit so that a final carry lands. A negative digit leaves a
+    carry of 1 into the remainder, so the next nonzero digit sits at the next
+    1 bit, or at the next 0 bit while a carry is pending. Its value is read
+    off the w-bit window that ends there, whose low bit the carry makes 1;
+    the window's upper w - 1 bits key _window_digits. Each nonzero digit
+    costs O(w) string work and no operation on an m-sized integer.
     """
     _require_nonnegative(m)
     require_width(w)
-    mask, full, half = (1 << w) - 1, 1 << w, 1 << (w - 1)
-    digits: list[int] = []
-    while m:
-        zeros = (m & -m).bit_length() - 1
-        digits += [0] * zeros
-        m >>= zeros
-        d = m & mask
-        if d >= half:
-            d -= full
-        digits.append(d)
-        m = (m - d) >> 1
-    digits.reverse()
-    return SignedExpansion(tuple(digits), half - 1)
+    windows = _window_digits(w)
+    bits = "0" * w + format(m, "b")
+    digits = [0] * len(bits)
+    top = len(bits)
+    find = bits.rfind
+    j = find("1")
+    while j >= 0:
+        top, start = j, j - w + 1
+        d = digits[j] = windows[bits[start:j]]
+        j = find("0" if d < 0 else "1", 0, start)
+    return SignedExpansion(tuple(digits[top:]), (1 << (w - 1)) - 1)
+
+
+@cache
+def _window_digits(w: int) -> dict[str, int]:
+    """Width-w NAF digit of each odd w-bit window, keyed by its upper w - 1 bits.
+
+    The window's residue mod 2**w, less 2**w when at least 2**(w-1): 2**(w-1)
+    entries, made on a width's first use.
+    """
+    full, half = 1 << w, 1 << (w - 1)
+    return {
+        format(k, f"0{w - 1}b"): d - full if d >= half else d
+        for k, d in enumerate(range(1, full, 2))
+    }
 
 
 def recode(m: int, form: str, width: int) -> SignedExpansion:

@@ -34,7 +34,7 @@ from negmul import (
 from negmul import algorithms
 from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
-from negmul.recoding import MAX_WIDTH, MIN_WIDTH
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 
 from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
 
@@ -420,6 +420,42 @@ def test_ledger_counts_equal_the_group_calls_made():
 @given(run=st.sampled_from(FORM_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
 def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
     assert_ledger_counts_the_calls(m, *run)
+
+
+def test_trace_changes_nothing_but_the_trace():
+    for algo, form, width in FORM_RUNS:
+        for m in range(1, 1 << 10):
+            runs = []
+            for trace in (False, True):
+                g = CountingGroup()
+                res = scalar_mul(m, 1, g, algo, form=form, width=width, trace=trace)
+                runs.append((res.element, res.shape, g.calls))
+                assert (res.trace is not None) == (trace and m > 1), (algo, form, width, m)
+            assert runs[0] == runs[1], (algo, form, width, m)
+
+
+# the loop's step kinds, and the closing flag's parity from (length, weight)
+STEP_KINDS = {
+    "baseline": ("dbl", "add", lambda length, weight: 0),
+    "online": ("neg_dbl", "neg_add", lambda length, weight: (length + weight) % 2),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(STEP_KINDS))
+def test_traced_steps_keep_the_sign_invariant_and_count_the_digits(algo):
+    dbl_kind, add_kind, closing = STEP_KINDS[algo]
+    n = 8191
+    g = ModularGroup(n)
+    for _, form, width in (run for run in FORM_RUNS if run[0] == algo):
+        for m in range(2, 1 << 10):
+            e = recode(m, form, width)
+            trace = scalar_mul(m, 1, g, algo, form=form, width=width, trace=True).trace
+            walk_sign_invariant(e, 1, n, trace)
+            expected = {"init": 1, dbl_kind: e.length - 1, add_kind: e.weight - 1}
+            expected["final_neg"] = closing(e.length, e.weight)
+            kinds = Counter(step.kind for step in trace)
+            assert kinds == +Counter(expected), (algo, form, width, m)
+            assert trace[-1].f == 0
 
 
 def test_table_ledger_equals_the_calls_that_build_the_table():

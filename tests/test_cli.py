@@ -243,24 +243,34 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 # Start-up cost: building the parser must not import these heavy modules
-# (dataclasses alone pulls in inspect, ast, dis and tokenize).
+# (dataclasses alone pulls in inspect, ast, dis and tokenize; json is only for
+# bench's JSON output and custom profiles).
 STARTUP_CODE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import negmul.cli
 negmul.cli.build_parser()
-print(" ".join(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+print(" ".join(sorted(set(sys.argv[2:]) & (set(sys.modules) - before))))
 """
 
 
-def test_startup_imports_neither_dataclasses_nor_inspect():
+def startup_imports(*names):
+    """Which of names a fresh interpreter loads to import negmul.cli and build its parser."""
     src = Path(negmul.__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP_CODE, str(src)],
+        [sys.executable, "-I", "-c", STARTUP_CODE, str(src), *names],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect():
+    assert startup_imports("dataclasses", "inspect") == []
+
+
+def test_startup_does_not_import_json():
+    assert startup_imports("json") == []

@@ -97,6 +97,33 @@ def test_vector_validation_and_arithmetic():
     assert a.scaled(0) == ZERO_COST
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: ZERO_COST * 2,
+        lambda: 2 * ZERO_COST,
+        lambda: CostVector(1) * CostVector(2),
+        lambda: CostVector(1) < CostVector(2),
+        lambda: CostVector(1) <= CostVector(2),
+        lambda: CostVector(2) > CostVector(1),
+        lambda: CostVector(2) >= CostVector(1),
+        lambda: CostVector(1) < (2, 0, 0, 0),
+        lambda: (2, 0, 0, 0) > CostVector(1),
+    ],
+    ids=["mul", "rmul", "mul-vectors", "lt", "le", "gt", "ge", "lt-tuple", "tuple-gt"],
+)
+def test_vector_has_no_tuple_repetition_or_ordering(op):
+    with pytest.raises(TypeError, match="supports \\+ with another CostVector and scaled"):
+        op()
+
+
+def test_vector_keeps_sum_and_scaling():
+    a = CostVector(1, 2, 3, 4)
+    assert a + ZERO_COST == a
+    assert ZERO_COST + a == a
+    assert a.scaled(2) == a + a == CostVector(2, 4, 6, 8)
+
+
 def test_weighted_total_is_linear():
     rng = random.Random(5)
     for _ in range(200):

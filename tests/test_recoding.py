@@ -126,6 +126,45 @@ def test_wnaf_equals_the_digit_by_digit_reference(m, w):
     assert e.value == m
 
 
+# Carries. On a run of ones every negative digit leaves a carry that runs up
+# to the next zero, and a carry out of the top bit makes the expansion one
+# digit longer than m.bit_length(). A uniform m almost never has long runs.
+# m = 2**k - 2**j is the run of k - j ones shifted up by j, and shifting m by
+# j appends j zero digits to the reference's expansion (its first j steps
+# emit 0), so one reference run per run length serves every j.
+@pytest.mark.parametrize("w", WIDTHS)
+def test_wnaf_runs_of_ones_equal_the_reference(w):
+    for ones in range(1, 301):
+        run = (1 << ones) - 1
+        expected = reference_width_w_naf(run, w)
+        for j in range(301 - ones):
+            assert width_w_naf(run << j, w).digits == expected + (0,) * j, (ones, j, w)
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_wnaf_of_the_all_ones_4096_bit_scalar(w):
+    m = (1 << 4096) - 1
+    e = width_w_naf(m, w)
+    assert e.digits == reference_width_w_naf(m, w)
+    assert e.length == 4097 and e.digits[0] == 1
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_wnaf_carry_into_a_new_top_digit(w):
+    # An odd top window W >= 2**(w-1) ending at the top bit gives a negative
+    # digit whose carry lands one place above the top bit. Bits L more than
+    # w places below W recode, carries included, below W's lowest bit.
+    rng = random.Random(w)
+    half, full = 1 << (w - 1), 1 << w
+    for _ in range(200):
+        low = rng.randrange(0, 300)
+        window = rng.randrange(half + 1, full, 2)
+        m = (window << (low + w)) | rng.getrandbits(low)
+        expected = reference_width_w_naf(m, w)
+        assert len(expected) == m.bit_length() + 1, (m, w)
+        assert width_w_naf(m, w).digits == expected, (m, w)
+
+
 def bin_digits(m):
     """Binary digits of m >= 0 as bin() spells them; () for 0."""
     return tuple(int(b) for b in bin(m)[2:]) if m else ()
