@@ -49,6 +49,8 @@ class MulResult(NamedTuple):
     building the odd-multiples table, or None when the run was given no
     table bound. Both are made from the shape by walk_ledgers on each read,
     so every read is a fresh ledger and a charge to one does not persist.
+    _walk builds its results through tuple.__new__ (_new_result), skipping
+    the Python frame of the generated __new__, which every run would pay.
     """
 
     element: Element
@@ -111,18 +113,20 @@ def walk_ledgers(
 # the shape of a run that performs no group operation
 _NO_OPS = (1, 1, False, False, False, True, None)
 
+# _new_result(MulResult, (element, shape, trace)) == MulResult(element, shape, trace)
+_new_result = tuple.__new__
 
-def _require_nonempty(e: SignedExpansion) -> None:
-    if e.length == 0:
-        raise ValueError("empty expansion: map m = 0 to the identity before dispatching")
+_EMPTY_EXPANSION = "empty expansion: map m = 0 to the identity before dispatching"
 
 
 def _require_unit_digits(e: SignedExpansion) -> None:
-    _require_nonempty(e)
-    if e.digits[0] != 1:
-        raise ValueError(f"leading digit must be +1, got {e.digits[0]}")
+    digits = e.digits
+    if not digits:
+        raise ValueError(_EMPTY_EXPANSION)
+    if digits[0] != 1:
+        raise ValueError(f"leading digit must be +1, got {digits[0]}")
     if e.digit_bound > 1:
-        for d in e.digits:
+        for d in digits:
             if d not in (-1, 0, 1):
                 raise ValueError(f"digits must lie in {{-1, 0, 1}}, got {d}")
 
@@ -130,7 +134,9 @@ def _require_unit_digits(e: SignedExpansion) -> None:
 def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[int, Element]:
     """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
 
-    Chain: 2D once, then successive additions; one negation per entry.
+    Chain: 2D once, then successive additions; one negation per entry. Its
+    bound-1 case is the pair {D, -D}, which _walk builds inline when it has
+    no table_bound.
     """
     table = {1: D, -1: group.neg(D)}
     if bound >= 3:
@@ -161,10 +167,12 @@ def _walk(
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. The addends are the odd-multiples table up to table_bound, or up
-    to 1 ({D, -D}) when the walk can flip or a digit is negative, else D
-    alone. The loop counts nothing: the result records the run's shape
-    (length, weight, negative and these parameters) for walk_ledgers.
+    at 1. The addends are the odd-multiples table up to table_bound, or
+    {D, -D} when the walk can flip or a digit is negative, else D alone.
+    The loop counts nothing: the result records the run's shape (length,
+    weight, negative and these parameters) for walk_ledgers. Every driver
+    run pays this function's fixed work, so untraced it makes no Python call
+    but the group's and, with a table_bound, _odd_multiples.
 
     With trace, the loop runs on _recording's wrappers of its dbl and add,
     which append each step with the flag after it; the init and final_neg
@@ -173,8 +181,10 @@ def _walk(
     digits = e.digits
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
-    if table_bound is not None or fuse_dbl or fuse_add or negative:
-        table = _odd_multiples(D, group, table_bound or 1)
+    if table_bound is not None:
+        table = _odd_multiples(D, group, table_bound)
+    elif fuse_dbl or fuse_add or negative:
+        table = {1: D, -1: group.neg(D)}
     else:
         table = {1: D}
     length = len(digits)
@@ -200,7 +210,7 @@ def _walk(
         if steps is not None:
             steps.append(TraceStep("final_neg", 0, E))
     shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
-    return MulResult(E, shape, steps)
+    return _new_result(MulResult, (E, shape, steps))
 
 
 def _recording(
@@ -250,7 +260,7 @@ def double_and_add(
     comparable; for signed binary digits only -D is precomputed, and only
     when a negative digit actually occurs.
     """
-    if e.length == 0:
+    if not e.digits:
         return MulResult(group.identity, _NO_OPS, [] if trace else None)
     bound = e.digit_bound if e.digit_bound > 1 else None
     return _walk(
@@ -337,7 +347,8 @@ def windowed_neg_scalar_mul(
     is reported separately in table_ledger.
     """
     require_width(w)
-    _require_nonempty(e)
+    if not e.digits:
+        raise ValueError(_EMPTY_EXPANSION)
     bound = (1 << (w - 1)) - 1
     # SignedExpansion already holds every nonzero digit odd and within
     # digit_bound, so only a wider bound than the table's needs a scan.

@@ -1,8 +1,10 @@
 """Deterministic cost benchmarking: modeled field-operation totals, not wall time.
 
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
-driver the chosen recoding form feeds, and aggregates the per-run ledgers by
-summation (order independent, so a fixed seed fully determines the report).
+driver the chosen recoding form feeds, and counts each driver's runs by shape.
+A run's ledger is a function of its shape alone, so each shape class is
+priced once, by walk_ledgers, times the number of runs in it (order
+independent, so a fixed seed fully determines the report).
 The report keeps every figure as an exact rational; rendering rounds only at
 the very end, and only in table mode.
 """
@@ -11,10 +13,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algorithms import ALGORITHMS
+from .algorithms import ALGORITHMS, walk_ledgers
 from .backends import CostChargingGroup, CostProfile, TrivialGroup
 from .costs import (
     DEFAULT_RATIOS,
@@ -22,6 +25,7 @@ from .costs import (
     CostLedger,
     CostRatios,
     CostVector,
+    SameClassEquality,
     savings_percent,
     weighted_total,
 )
@@ -54,12 +58,16 @@ def algorithms_for_form(form: str) -> tuple[str, ...]:
     return tuple(algo for algo, entry in ALGORITHMS.items() if form in entry.forms)
 
 
-class StepCosts(NamedTuple):
-    """Weighted cost of one plain step against its fused counterpart."""
-
+class _StepCostsFields(NamedTuple):
     plain: Fraction
     fused: Fraction
     savings: Fraction
+
+
+class StepCosts(SameClassEquality, _StepCostsFields):
+    """Weighted cost of one plain step against its fused counterpart."""
+
+    __slots__ = ()
 
 
 class AlgorithmEntry(NamedTuple):
@@ -193,8 +201,8 @@ def run_bench(
     D = group.identity
     algo_ids = algorithms_for_form(form)
     prices = prices_of(group)
-    totals = {algo: CostLedger() for algo in algo_ids}
-    runs = [(totals[algo], ALGORITHMS[algo].run) for algo in algo_ids]
+    shapes = {algo: Counter() for algo in algo_ids}
+    runs = [(shapes[algo], ALGORITHMS[algo].run) for algo in algo_ids]
     for m in scalars:
         if form == "binary":
             e = binary_expansion(m)
@@ -202,8 +210,9 @@ def run_bench(
             e = naf(m)
         else:
             e = width_w_naf(m, width)
-        for total, run in runs:
-            total.merge(run(e, D, group, width, False).ledger)
+        for counted, run in runs:
+            counted[run(e, D, group, width, False).shape] += 1
+    totals = {algo: _ledger_of(shapes[algo]) for algo in algo_ids}
     base_total = weighted_total(totals["baseline"].total(prices), ratios)
     entries = []
     for algo in algo_ids:
@@ -226,6 +235,15 @@ def run_bench(
         algorithms=tuple(entries),
         prices=prices,
     )
+
+
+def _ledger_of(shapes: Counter) -> CostLedger:
+    """The summed ledger of the runs counted by shape: each class priced once."""
+    total = CostLedger()
+    for shape, runs in shapes.items():
+        for kind, count in walk_ledgers(*shape)[0].counts().items():
+            total.charge(kind, count * runs)
+    return total
 
 
 def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:

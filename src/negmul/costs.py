@@ -58,14 +58,39 @@ class CostVector(_CostVectorFields):
         return CostVector(k * self.mul, k * self.sqr, k * self.inv, k * self.add_f)
 
     # A tuple repeats under * and orders lexicographically; neither means
-    # anything for a cost, so both raise instead of answering.
+    # anything for a cost, so both raise instead of answering. __radd__ is
+    # tried before a tuple's own +, so (1,) + vector raises instead of
+    # concatenating.
     def _unsupported(self, other: object) -> NoReturn:
         raise TypeError("a CostVector supports + with another CostVector and scaled(k) only")
 
-    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = _unsupported
+    __mul__ = __rmul__ = __radd__ = __lt__ = __le__ = __gt__ = __ge__ = _unsupported
 
 
 ZERO_COST = CostVector()
+
+
+class SameClassEquality:
+    """Mixin for tuple records that equal only records of their own class.
+
+    Against another class == and != return NotImplemented, so two such
+    records of different classes compare unequal whatever their items; the
+    hash stays the tuple's. A plain tuple still compares by its items.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 class _CostRatiosFields(NamedTuple):
@@ -74,7 +99,7 @@ class _CostRatiosFields(NamedTuple):
     addf_per_mul: Fraction
 
 
-class CostRatios(_CostRatiosFields):
+class CostRatios(SameClassEquality, _CostRatiosFields):
     """Exact conversion weights into M-equivalents.
 
     Defaults: a squaring costs 2/3 of a multiplication, an inversion 10

@@ -63,6 +63,42 @@ class CountingGroup(NegationAwareGroup):
         return self.inner.neg_dbl(a)
 
 
+class Opaque:
+    """An element that can be passed around and nothing else.
+
+    Its coefficient sits in a slot the drivers never read; comparing,
+    hashing, truth-testing or indexing it raises, so a driver that looks at
+    an element instead of only passing it to the group fails loudly.
+    """
+
+    __slots__ = ("coefficient",)
+
+    def __init__(self, coefficient):
+        self.coefficient = coefficient
+
+    def _read(self, *args):
+        raise AssertionError("a driver read an element")
+
+    __eq__ = __bool__ = __hash__ = __index__ = _read
+
+
+class ObliviousGroup(NegationAwareGroup):
+    """IntegerGroup over Opaque elements: the coefficients, out of the drivers' sight."""
+
+    @property
+    def identity(self):
+        return Opaque(0)
+
+    def add(self, a, b):
+        return Opaque(a.coefficient + b.coefficient)
+
+    def dbl(self, a):
+        return Opaque(2 * a.coefficient)
+
+    def neg(self, a):
+        return Opaque(-a.coefficient)
+
+
 def reference_width_w_naf(m, w):
     """Digits of the width-w NAF of m >= 0, most-significant first, one digit per step.
 

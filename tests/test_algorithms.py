@@ -36,7 +36,7 @@ from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 
-from oracles import CountingGroup, IntegerGroup, walk_sign_invariant
+from oracles import CountingGroup, IntegerGroup, ObliviousGroup, Opaque, walk_sign_invariant
 
 
 # every registry entry on its default form, the windowed one at widths 2-6
@@ -394,6 +394,29 @@ def test_every_algorithm_computes_exact_coefficients_in_the_free_group():
     for algo, width in REGISTRY_RUNS:
         for m in scalars:
             assert scalar_mul(m, 1, g, algo, width=width).element == m, (algo, width, m)
+
+
+def test_drivers_never_read_an_element():
+    g = ObliviousGroup()
+    D = Opaque(1)
+    for reads in (D.__eq__, bool, hash, [0, 1].__getitem__):
+        with pytest.raises(AssertionError, match="read an element"):
+            reads(D)
+    runs = [
+        (algo, form, width)
+        for algo, (forms, _) in ALGORITHMS.items()
+        for form in forms
+        for width in (range(MIN_WIDTH, MAX_WIDTH + 1) if form == "wnaf" else (4,))
+    ]
+    every_m = range(-(1 << 8) + 1, 1 << 8)
+    for algo, form, width in runs:
+        # From width 10 on, each m below 2**8 recodes to one odd digit and its
+        # zeros, as at width 9, and only the table grows (2**(w - 2) entries):
+        # a few scalars cover those widths, where every m would take minutes.
+        for m in every_m if width <= 9 else (-255, -6, -3, 2, 3, 6, 255):
+            for trace in (False, True):
+                res = scalar_mul(m, D, g, algo, form=form, width=width, trace=trace)
+                assert res.element.coefficient == m, (algo, form, width, m, trace)
 
 
 def assert_ledger_counts_the_calls(m, algo, form, width):

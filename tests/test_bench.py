@@ -7,15 +7,23 @@ from fractions import Fraction
 import pytest
 
 from negmul import (
+    ALGORITHMS,
     DEFAULT_RATIOS,
     HYPERELLIPTIC_PROFILE,
     PICARD_PROFILE,
+    CostChargingGroup,
+    CostLedger,
     CostRatios,
     algorithms_for_form,
+    prices_of,
     run_bench,
     sample_scalars,
     savings_percent,
+    weighted_total,
 )
+from negmul.recoding import recode
+
+from oracles import IntegerGroup
 
 
 def test_sample_scalars_properties():
@@ -121,6 +129,24 @@ def test_report_is_self_consistent():
         assert Fraction(step["savings_percent"]) == savings_percent(
             Fraction(step["plain"]), Fraction(step["fused"])
         )
+
+
+@pytest.mark.parametrize("profile", [PICARD_PROFILE, HYPERELLIPTIC_PROFILE], ids=lambda p: p.name)
+def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
+    group = CostChargingGroup(IntegerGroup(), profile)
+    prices = prices_of(group)
+    runs = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
+    for seed in (0, 1, 2, 3):
+        for form, width in runs:
+            report = run_bench(profile, bits=24, samples=60, form=form, width=width, seed=seed)
+            for entry in report.algorithms:
+                merged = CostLedger()
+                for m in sample_scalars(24, 60, seed):
+                    e = recode(m, form, width)
+                    merged.merge(ALGORITHMS[entry.algo_id].run(e, 1, group, width, False).ledger)
+                assert entry.ledger == merged, (seed, form, width, entry.algo_id)
+                total = weighted_total(merged.total(prices))
+                assert entry.total_weighted == total, (seed, form, width, entry.algo_id)
 
 
 def test_render_table_shows_exact_headline_numbers():

@@ -15,6 +15,7 @@ from negmul import (
     savings_percent,
     weighted_total,
 )
+from negmul.bench import StepCosts
 
 
 def test_weighted_total_examples():
@@ -109,8 +110,9 @@ def test_vector_validation_and_arithmetic():
         lambda: CostVector(2) >= CostVector(1),
         lambda: CostVector(1) < (2, 0, 0, 0),
         lambda: (2, 0, 0, 0) > CostVector(1),
+        lambda: (1,) + ZERO_COST,
     ],
-    ids=["mul", "rmul", "mul-vectors", "lt", "le", "gt", "ge", "lt-tuple", "tuple-gt"],
+    ids=["mul", "rmul", "mul-vectors", "lt", "le", "gt", "ge", "lt-tuple", "tuple-gt", "tuple-add"],
 )
 def test_vector_has_no_tuple_repetition_or_ordering(op):
     with pytest.raises(TypeError, match="supports \\+ with another CostVector and scaled"):
@@ -122,6 +124,19 @@ def test_vector_keeps_sum_and_scaling():
     assert a + ZERO_COST == a
     assert ZERO_COST + a == a
     assert a.scaled(2) == a + a == CostVector(2, 4, 6, 8)
+
+
+def test_ratios_equal_only_ratios():
+    ratios = CostRatios(0, 0, 0)
+    steps = StepCosts(Fraction(0), Fraction(0), Fraction(0))
+    assert tuple(ratios) == tuple(steps)
+    assert not ratios == steps and not steps == ratios
+    assert ratios != steps and steps != ratios
+    assert ratios == CostRatios("0", 0, Fraction(0)) and not ratios != CostRatios(0, 0, 0)
+    assert ratios != CostRatios(1, 0, 0)
+    # the hash is still the tuple's, so equal ratios still collapse in a set
+    assert hash(ratios) == hash(tuple(ratios))
+    assert len({ratios, CostRatios(0, 0, 0), steps}) == 2
 
 
 def test_weighted_total_is_linear():
