@@ -22,13 +22,11 @@ recoding forms it runs on, default first, and a runner for it.
 
 from __future__ import annotations
 
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 from .costs import CostLedger
 from .groups import Element, NegationAwareGroup
 from .recoding import SignedExpansion, recode, require_width
-
-MixedMode = Literal["neg_doubling_only", "neg_addition_only"]
 
 MIXED_MODES = ("neg_doubling_only", "neg_addition_only")
 
@@ -120,15 +118,11 @@ _EMPTY_EXPANSION = "empty expansion: map m = 0 to the identity before dispatchin
 
 
 def _require_unit_digits(e: SignedExpansion) -> None:
-    digits = e.digits
-    if not digits:
+    """Accept by the declared bound: bound 1 means digits in {-1, 0, 1} led by +1."""
+    if not e.digits:
         raise ValueError(_EMPTY_EXPANSION)
-    if digits[0] != 1:
-        raise ValueError(f"leading digit must be +1, got {digits[0]}")
-    if e.digit_bound > 1:
-        for d in digits:
-            if d not in (-1, 0, 1):
-                raise ValueError(f"digits must lie in {{-1, 0, 1}}, got {d}")
+    if e.digit_bound != 1:
+        raise ValueError(f"digits must lie in {{-1, 0, 1}}, got digit_bound {e.digit_bound}")
 
 
 def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[int, Element]:
@@ -309,7 +303,7 @@ def mixed_scalar_mul(
     e: SignedExpansion,
     D: Element,
     group: NegationAwareGroup,
-    mode: MixedMode,
+    mode: str,
     *,
     trace: bool = False,
 ) -> MulResult:
@@ -350,12 +344,8 @@ def windowed_neg_scalar_mul(
     if not e.digits:
         raise ValueError(_EMPTY_EXPANSION)
     bound = (1 << (w - 1)) - 1
-    # SignedExpansion already holds every nonzero digit odd and within
-    # digit_bound, so only a wider bound than the table's needs a scan.
     if e.digit_bound > bound:
-        for d in e.digits:
-            if abs(d) > bound:
-                raise ValueError(f"digit {d} outside the width-{w} table range")
+        raise ValueError(f"digit_bound {e.digit_bound} outside the width-{w} table range")
     return _walk(
         e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=bound
     )

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .costs import OP_KINDS, CostRatios, CostVector
+from .costs import OP_KINDS, CostRatios, CostVector, SameClassEquality
 from .groups import Element, NegationAwareGroup
 
 
@@ -77,7 +77,7 @@ class _CostProfileFields(NamedTuple):
     neg_dbl_cost: CostVector
 
 
-class CostProfile(_CostProfileFields):
+class CostProfile(SameClassEquality, _CostProfileFields):
     """Named per-operation cost vectors for one family of group arithmetic."""
 
     __slots__ = ()
@@ -105,11 +105,6 @@ class CostProfile(_CostProfileFields):
                     "operation plus a negation, counting every field operation"
                 )
         return super().__new__(cls, name, add_cost, dbl_cost, neg_cost, neg_add_cost, neg_dbl_cost)
-
-    # _replace builds through _make, so it is checked like the constructor
-    @classmethod
-    def _make(cls, iterable) -> CostProfile:
-        return cls(*iterable)
 
     def cost_of(self, kind: str) -> CostVector:
         if kind not in OP_KINDS:

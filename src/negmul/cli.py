@@ -19,9 +19,7 @@ from .verify import MAX_VERIFY_N, MIN_VERIFY_N, verify_universal_agreement
 
 def _scalar(text: str) -> int:
     try:
-        if text.lower().startswith(("0x", "-0x")):
-            return int(text, 16)
-        return int(text, 10)
+        return int(text, 16 if text.lower().lstrip("+-").startswith("0x") else 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a decimal or hex integer: {text!r}") from None
 

@@ -17,6 +17,34 @@ from typing import Mapping, NamedTuple, NoReturn
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
 
+class SameClassEquality:
+    """Mixin for checked tuple records: same-class equality and a checked _replace.
+
+    Against another class == and != return NotImplemented, so two such
+    records of different classes compare unequal whatever their items; the
+    hash stays the tuple's. A plain tuple still compares by its items.
+    _make, and so _replace, builds through the constructor and its checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
 class _CostVectorFields(NamedTuple):
     mul: int
     sqr: int
@@ -24,7 +52,7 @@ class _CostVectorFields(NamedTuple):
     add_f: int
 
 
-class CostVector(_CostVectorFields):
+class CostVector(SameClassEquality, _CostVectorFields):
     """Nonnegative counts of field operations: M, S, I and A."""
 
     __slots__ = ()
@@ -35,11 +63,6 @@ class CostVector(_CostVectorFields):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} count must be a nonnegative integer, got {value!r}")
         return self
-
-    # _replace builds through _make, so it is checked like the constructor
-    @classmethod
-    def _make(cls, iterable) -> CostVector:
-        return cls(*iterable)
 
     def __add__(self, other: CostVector) -> CostVector:
         if not isinstance(other, CostVector):
@@ -68,29 +91,6 @@ class CostVector(_CostVectorFields):
 
 
 ZERO_COST = CostVector()
-
-
-class SameClassEquality:
-    """Mixin for tuple records that equal only records of their own class.
-
-    Against another class == and != return NotImplemented, so two such
-    records of different classes compare unequal whatever their items; the
-    hash stays the tuple's. A plain tuple still compares by its items.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
 
 
 class _CostRatiosFields(NamedTuple):
@@ -125,11 +125,6 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
                 raise ValueError(f"{name} must be nonnegative, got {ratio}")
             ratios.append(ratio)
         return super().__new__(cls, *ratios)
-
-    # _replace builds through _make, so it is checked like the constructor
-    @classmethod
-    def _make(cls, iterable) -> CostRatios:
-        return cls(*iterable)
 
 
 DEFAULT_RATIOS = CostRatios()

@@ -124,10 +124,11 @@ def test_neg_scalar_mul_rejects_bad_expansions():
     g = ModularGroup(7)
     with pytest.raises(ValueError, match="empty expansion"):
         neg_scalar_mul(SignedExpansion(()), 1, g)
-    with pytest.raises(ValueError, match="leading digit"):
-        neg_scalar_mul(SignedExpansion((3,), digit_bound=3), 1, g)
-    with pytest.raises(ValueError, match="digits must lie"):
-        neg_scalar_mul(SignedExpansion((1, 0, 0, 3), digit_bound=3), 1, g)
+    # the declared bound decides, not the digits: (1,) under bound 3 is refused too
+    for digits in ((3,), (1, 0, 0, 3), (1,), (1, 0, -1)):
+        with pytest.raises(ValueError) as exc:
+            neg_scalar_mul(SignedExpansion(digits, digit_bound=3), 1, g)
+        assert str(exc.value) == "digits must lie in {-1, 0, 1}, got digit_bound 3"
 
 
 def test_neg_scalar_mul_parity_identity_and_terminal_flag():
@@ -235,10 +236,12 @@ def test_windowed_examples():
     assert counts(res.ledger) == {"dbl": 1, "add": 1, "neg": 2}
     assert res.table_ledger == res.ledger  # no loop iterations, no final negation
 
-    # a wider-bound expansion runs when its digits fit the width-3 table
+    # a wider-bound expansion is refused even when its digits fit the width-3 table
     e = width_w_naf(3, 5)
-    assert e.digit_bound == 15
-    assert windowed_neg_scalar_mul(e, 1, ModularGroup(13), 3).element == 3
+    assert e.digit_bound == 15 and e.digits == (3,)
+    with pytest.raises(ValueError) as exc:
+        windowed_neg_scalar_mul(e, 1, ModularGroup(13), 3)
+    assert str(exc.value) == "digit_bound 15 outside the width-3 table range"
 
 
 def test_windowed_table_costs():
@@ -281,6 +284,52 @@ def test_windowed_rejects_bad_input():
         windowed_neg_scalar_mul(SignedExpansion(()), 1, g, 3)
     with pytest.raises(ValueError, match="width"):
         windowed_neg_scalar_mul(naf(5), 1, g, 1)
+
+
+def test_drivers_accept_by_declared_digit_bound():
+    """Acceptance reads the driver, the width and digit_bound, never the digit values.
+
+    For every pair of expansion width and driver width in [MIN_WIDTH, MAX_WIDTH]:
+    window(w) refuses exactly the expansions whose digit_bound exceeds its
+    table's, the four {-1, 0, 1} drivers refuse every digit_bound above 1, and
+    the baseline refuses none. Each expansion width gets a scalar whose digits
+    are all +-1, which fit every table, and two whose digits reach its bound.
+    """
+    n = 8191
+    g = ModularGroup(n)
+    unit_drivers = [algo for algo in ALGORITHMS if algo not in ("baseline", "window")]
+    seen = set()
+    for expansion_width in range(MIN_WIDTH, MAX_WIDTH + 1):
+        half = 1 << (expansion_width - 1)
+        for m in ((1 << 20) + 1, half - 1, half + 1):
+            e = width_w_naf(m, expansion_width)
+            assert e.digit_bound == half - 1
+            widest = max(map(abs, e.digits))
+            for w in range(MIN_WIDTH, MAX_WIDTH + 1):
+                table_bound = (1 << (w - 1)) - 1
+                refused = e.digit_bound > table_bound
+                seen.add((widest <= table_bound, refused))
+                if refused:
+                    with pytest.raises(ValueError) as exc:
+                        windowed_neg_scalar_mul(e, 1, g, w)
+                    assert str(exc.value) == (
+                        f"digit_bound {e.digit_bound} outside the width-{w} table range"
+                    )
+                else:
+                    assert windowed_neg_scalar_mul(e, 1, g, w).element == m % n
+            for algo in unit_drivers:
+                run = ALGORITHMS[algo].run
+                if e.digit_bound > 1:
+                    with pytest.raises(ValueError) as exc:
+                        run(e, 1, g, expansion_width, False)
+                    assert str(exc.value) == (
+                        f"digits must lie in {{-1, 0, 1}}, got digit_bound {e.digit_bound}"
+                    )
+                else:
+                    assert run(e, 1, g, expansion_width, False).element == m % n
+            assert double_and_add(e, 1, g).element == m % n
+    # refusals include expansions whose digits would have fit the table
+    assert seen == {(True, False), (True, True), (False, True)}
 
 
 def test_ledger_decomposition_under_picard_costs():

@@ -42,6 +42,17 @@ def test_recode_wnaf_and_hex(capsys):
     assert out == "1 0 0 -1, l=4, w=2\n"
 
 
+def test_recode_accepts_signed_hex_like_signed_decimal(capsys):
+    rc, out = run_cli(capsys, "recode", "17")
+    assert rc == 0 and out == "1 0 0 0 1, l=5, w=2\n"
+    for text in ("+17", "+0x11", "+0X11", "0x11"):
+        assert run_cli(capsys, "recode", text) == (0, out)
+    for text in ("+-0x11", "0x", "+"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["recode", text])
+        assert exc.value.code == 2
+
+
 def test_recode_defaults_to_naf(capsys):
     rc, out = run_cli(capsys, "recode", "3")
     assert out == "1 0 -1, l=3, w=2\n"
@@ -116,6 +127,16 @@ def test_verify_small_pass(capsys):
     rc, out = run_cli(capsys, "verify", "--max-n", "5")
     assert rc == 0
     assert out.startswith("PASS, 0 mismatches")
+
+
+def test_verify_max_m_multiplier(capsys):
+    rc, out = run_cli(capsys, "verify", "--max-n", "7", "--max-m-multiplier", "16")
+    assert rc == 0
+    assert out == "PASS, 0 mismatches (9472 products checked)\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--max-n", "7", "--max-m-multiplier", "1025"])
+    assert exc.value.code == 2
+    assert "max-m-multiplier must be in [1, 1024], got 1025" in capsys.readouterr().err
 
 
 def test_verify_failure_formatting(monkeypatch, capsys):

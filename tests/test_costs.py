@@ -8,6 +8,7 @@ import pytest
 from negmul import (
     DEFAULT_RATIOS,
     OP_KINDS,
+    PICARD_PROFILE,
     ZERO_COST,
     CostLedger,
     CostRatios,
@@ -78,6 +79,14 @@ def test_replace_checks_like_the_constructor():
     half = DEFAULT_RATIOS._replace(sqr_per_mul="1/2")
     assert half.sqr_per_mul == Fraction(1, 2) and type(half.sqr_per_mul) is Fraction
     assert CostVector._make((1, 2, 3, 4)) == CostVector(1, 2, 3, 4)
+    dearer = PICARD_PROFILE.add_cost + PICARD_PROFILE.neg_cost + CostVector(mul=1)
+    with pytest.warns(UserWarning, match="^cost profile 'picard': neg_add is dearer"):
+        PICARD_PROFILE._replace(neg_add_cost=dearer)
+    steps = StepCosts(Fraction(172), Fraction(159), Fraction(325, 43))
+    assert StepCosts._make(tuple(steps)) == steps
+    cheaper = steps._replace(fused=Fraction(150))
+    assert type(cheaper) is StepCosts
+    assert cheaper == StepCosts(Fraction(172), Fraction(150), steps.savings)
 
 
 def test_vector_validation_and_arithmetic():
