@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import operator
 import warnings
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -138,19 +137,18 @@ HYPERELLIPTIC_PROFILE = CostProfile(
     neg_dbl_cost=CostVector(mul=71, sqr=8, inv=1),
 )
 
-_PRESETS = {profile.name: profile for profile in (PICARD_PROFILE, HYPERELLIPTIC_PROFILE)}
+PRESETS = {profile.name: profile for profile in (PICARD_PROFILE, HYPERELLIPTIC_PROFILE)}
 
 
 def preset(name: str) -> CostProfile:
     """Look up a bundled cost profile by name."""
     try:
-        return _PRESETS[name]
+        return PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}") from None
+        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
 
 
-_COMPONENT_KEYS = ("M", "S", "I", "A")
-_RATIO_KEYS = ("sqr_per_mul", "inv_per_mul", "addf_per_mul")
+_COMPONENT_KEYS = ("M", "S", "I", "A")  # in CostVector's field order
 
 
 def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
@@ -160,7 +158,8 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
     neg_add and neg_dbl, each mapping M/S/I/A to nonnegative integer counts
     (omitted components default to 0), plus an optional ratios object whose
     values are exact fraction strings such as "2/3". Unknown keys anywhere
-    are rejected.
+    are rejected. The counts and ratios are checked by CostVector and
+    CostRatios; every error names the file and the offending key.
     """
     import json  # only profile loading needs it; kept off the start-up path
 
@@ -188,34 +187,25 @@ def _parse_vector(path: Path, key: str, obj: object) -> CostVector:
     unknown = sorted(set(obj) - set(_COMPONENT_KEYS))
     if unknown:
         raise ValueError(f"{path}: {key} has unknown components {unknown}")
-    counts = {}
-    for component, field in zip(_COMPONENT_KEYS, CostVector._fields):
-        value = obj.get(component, 0)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(
-                f"{path}: {key}.{component} must be a nonnegative integer, got {value!r}"
-            )
-        counts[field] = value
-    return CostVector(**counts)
+    try:
+        return CostVector(*(obj.get(component, 0) for component in _COMPONENT_KEYS))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from exc
 
 
 def _parse_ratios(path: Path, obj: object) -> CostRatios:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: ratios must be a JSON object")
-    unknown = sorted(set(obj) - set(_RATIO_KEYS))
+    unknown = sorted(set(obj) - set(CostRatios._fields))
     if unknown:
         raise ValueError(f"{path}: ratios has unknown keys {unknown}")
-    kwargs = {}
-    for key in _RATIO_KEYS:
-        if key in obj:
-            raw = obj[key]
-            if not isinstance(raw, str):
-                raise ValueError(f'{path}: ratios.{key} must be a fraction string like "2/3"')
-            try:
-                kwargs[key] = Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}: ratios.{key}: {exc}") from exc
-    return CostRatios(**kwargs)
+    for key, raw in obj.items():
+        if not isinstance(raw, str):
+            raise ValueError(f'{path}: ratios.{key} must be a fraction string like "2/3"')
+    try:
+        return CostRatios(**obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: ratios: {exc}") from exc
 
 
 class CostChargingGroup(NegationAwareGroup):

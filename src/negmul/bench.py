@@ -39,12 +39,16 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
     """count scalars of exactly `bits` bits: top bit forced, the rest uniform.
 
     Drawn from random.Random(seed), i.e. the frozen MT19937 generator, so a
-    seed pins the sample on every platform and Python version.
+    seed pins the sample on every platform and Python version. The seed must
+    be a nonnegative int: Random would take None as "unseeded" and -1 or True
+    as 1, so the report could print a seed that does not reproduce it.
     """
     if not MIN_BITS <= bits <= MAX_BITS:
         raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
-    if count < 1:
-        raise ValueError(f"sample count must be positive, got {count}")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ValueError(f"sample count must be a positive integer, got {count!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = random.Random(seed)
     top = 1 << (bits - 1)
     return [top | rng.getrandbits(bits - 1) for _ in range(count)]
@@ -97,16 +101,13 @@ class BenchReport(NamedTuple):
     def to_dict(self) -> dict:
         algorithms = []
         for entry in self.algorithms:
-            ops = {}
-            for kind in OP_KINDS:
-                vec = entry.ledger.vector(kind, self.prices)
-                ops[kind] = {
+            ops = {
+                kind: {
                     "count": entry.ledger.count(kind),
-                    "mul": vec.mul,
-                    "sqr": vec.sqr,
-                    "inv": vec.inv,
-                    "add_f": vec.add_f,
+                    **entry.ledger.vector(kind, self.prices)._asdict(),
                 }
+                for kind in OP_KINDS
+            }
             savings = entry.savings_vs_baseline
             algorithms.append(
                 {
@@ -119,11 +120,7 @@ class BenchReport(NamedTuple):
             )
         return {
             "preset": self.preset,
-            "ratios": {
-                "sqr_per_mul": str(self.ratios.sqr_per_mul),
-                "inv_per_mul": str(self.ratios.inv_per_mul),
-                "addf_per_mul": str(self.ratios.addf_per_mul),
-            },
+            "ratios": {key: str(ratio) for key, ratio in self.ratios._asdict().items()},
             "sample": {
                 "bits": self.bits,
                 "count": self.samples,
@@ -149,12 +146,10 @@ class BenchReport(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def render_table(self) -> str:
-        r = self.ratios
         width_note = f", width={self.width}" if self.width is not None else ""
         lines = [
             f"preset: {self.preset}",
-            f"ratios: sqr_per_mul={r.sqr_per_mul} inv_per_mul={r.inv_per_mul} "
-            f"addf_per_mul={r.addf_per_mul}",
+            "ratios: " + " ".join(f"{key}={ratio}" for key, ratio in self.ratios._asdict().items()),
             f"sample: {self.samples} scalars of {self.bits} bits, "
             f"form={self.form}{width_note}, seed={self.seed}",
             "",

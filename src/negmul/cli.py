@@ -6,11 +6,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from fractions import Fraction
 
 from .algorithms import ALGORITHM_IDS, ALGORITHMS, scalar_mul
-from .backends import ModularGroup, load_profile, preset
+from .backends import PRESETS, ModularGroup, load_profile, preset
 from .bench import MAX_BITS, MIN_BITS, run_bench
 from .costs import DEFAULT_RATIOS, OP_KINDS, CostRatios
 from .recoding import MAX_WIDTH, MIN_WIDTH, RECODING_FORMS, recode
@@ -54,16 +54,6 @@ def _bounded(low: int, high: int, what: str):
     return parse
 
 
-def _ratio(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact fraction: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"ratio must be nonnegative, got {text!r}")
-    return value
-
-
 _width_arg = _bounded(MIN_WIDTH, MAX_WIDTH, "width")
 
 
@@ -90,6 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     mul = sub.add_parser(
         "mul", help="compute scalar * 1 mod n with a chosen driver and show its operation tallies"
     )
+    # Read any "-" then digit as a negative number, not an option, so that
+    # "--scalar -0x11" parses (Python 3.13's rule; older ones take -0x11 for
+    # an option). mul has no option that could look like one.
+    mul._negative_number_matcher = re.compile(r"^-\.?\d")
     mul.add_argument("--n", type=_modulus, required=True, help="modulus of the backing group")
     mul.add_argument(
         "--scalar", type=_scalar, required=True, help="decimal or 0x-hex, may be negative"
@@ -116,15 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify, parser=verify)
 
     bench = sub.add_parser("bench", help="aggregate modeled costs over a seeded scalar sample")
-    bench.add_argument("preset", choices=("picard", "hyperelliptic", "custom"))
+    bench.add_argument("preset", choices=(*PRESETS, "custom"))
     bench.add_argument("--profile", help="JSON cost profile, required with preset 'custom'")
     bench.add_argument("--bits", type=_bounded(MIN_BITS, MAX_BITS, "bits"), default=160)
     bench.add_argument("--samples", type=_bounded(1, 1_000_000, "samples"), default=1000)
     bench.add_argument("--form", choices=RECODING_FORMS, default="naf")
     bench.add_argument("--width", type=_width_arg, default=4)
-    bench.add_argument("--sqr-per-mul", type=_ratio, default=None, metavar="FRACTION")
-    bench.add_argument("--inv-per-mul", type=_ratio, default=None, metavar="FRACTION")
-    bench.add_argument("--addf-per-mul", type=_ratio, default=None, metavar="FRACTION")
+    for field in CostRatios._fields:
+        bench.add_argument("--" + field.replace("_", "-"), metavar="FRACTION")
     bench.add_argument("--format", choices=("table", "json"), default="table")
     bench.add_argument("--seed", type=_bounded(0, 2**64 - 1, "seed"), default=0)
     bench.set_defaults(func=cmd_bench, parser=bench)
@@ -178,11 +171,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile = preset(args.preset)
         file_ratios = None
     base = file_ratios if file_ratios is not None else DEFAULT_RATIOS
-    ratios = CostRatios(
-        args.sqr_per_mul if args.sqr_per_mul is not None else base.sqr_per_mul,
-        args.inv_per_mul if args.inv_per_mul is not None else base.inv_per_mul,
-        args.addf_per_mul if args.addf_per_mul is not None else base.addf_per_mul,
-    )
+    given = {key: text for key in CostRatios._fields if (text := getattr(args, key)) is not None}
+    try:
+        ratios = base._replace(**given)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     report = run_bench(
         profile,
         bits=args.bits,

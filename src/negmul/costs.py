@@ -105,7 +105,9 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
     Defaults: a squaring costs 2/3 of a multiplication, an inversion 10
     multiplications, and field additions are not priced. Each ratio is an
     int, a Fraction or a fraction string such as "2/3", stored as a
-    Fraction; a float or bool is rejected, since it is not an exact ratio.
+    Fraction. Anything else (a float or bool, which is not an exact ratio, a
+    malformed string or a zero denominator) and a negative ratio raise a
+    ValueError that names the field; profile files and the CLI rely on it.
     """
 
     __slots__ = ()
@@ -118,9 +120,12 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
     ) -> CostRatios:
         ratios = []
         for name, value in zip(cls._fields, (sqr_per_mul, inv_per_mul, addf_per_mul)):
-            if isinstance(value, (float, bool)):
-                raise ValueError(f"{name} must be an exact ratio, got {value!r}")
-            ratio = Fraction(value)
+            try:
+                if isinstance(value, (float, bool)):
+                    raise TypeError(value)
+                ratio = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"{name} must be an exact ratio, got {value!r}") from None
             if ratio < 0:
                 raise ValueError(f"{name} must be nonnegative, got {ratio}")
             ratios.append(ratio)

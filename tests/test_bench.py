@@ -43,6 +43,18 @@ def test_sample_scalars_validation():
         sample_scalars(64, 0, 0)
 
 
+def test_sample_scalars_take_only_seeds_that_reproduce_the_sample():
+    # random.Random would take None as "unseeded" and -1 or True as the seed 1
+    for seed in (None, -1, True, False, "x", 1.5):
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed!r}$"):
+            sample_scalars(64, 1, seed)
+        with pytest.raises(ValueError, match="seed"):
+            run_bench(PICARD_PROFILE, bits=16, samples=1, seed=seed)
+    for count in (True, 1.5, "3"):
+        with pytest.raises(ValueError, match="count"):
+            sample_scalars(64, count, 0)
+
+
 def test_algorithms_for_form():
     assert algorithms_for_form("naf") == ("baseline", "neg", "online", "neg-dbl-only", "neg-add-only")
     assert algorithms_for_form("binary") == algorithms_for_form("naf")

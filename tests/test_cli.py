@@ -9,6 +9,7 @@ import pytest
 
 import negmul
 from negmul import cli
+from negmul.backends import PRESETS
 from negmul.verify import Mismatch
 
 
@@ -93,6 +94,18 @@ def test_mul_negative_scalar(capsys):
     rc, out = run_cli(capsys, "mul", "--n", "7", "--scalar", "-3")
     assert rc == 0
     assert out.splitlines()[0] == "4"
+
+
+def test_mul_negative_hex_scalar_parses_like_negative_decimal(capsys):
+    # before Python 3.13, argparse took "-0x11" for an option unless told otherwise
+    expected = run_cli(capsys, "mul", "--n", "101", "--scalar", "-17", "--algo", "neg")
+    assert expected == (0, "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n")
+    for scalar in (["--scalar", "-0x11"], ["--scalar", "-0X11"], ["--scalar=-0x11"]):
+        assert run_cli(capsys, "mul", "--n", "101", *scalar, "--algo", "neg") == expected
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mul", "--n", "101", "--scalar", "-0xzz"])
+    assert exc.value.code == 2
+    assert "not a decimal or hex integer: '-0xzz'" in capsys.readouterr().err
 
 
 def test_mul_window_with_another_form_is_usage_error(capsys):
@@ -249,6 +262,42 @@ def test_bench_rejects_malformed_ratio(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "picard", "--inv-per-mul", "ten"])
     assert exc.value.code == 2
+
+
+def test_bench_ratio_flags_are_checked_by_cost_ratios(capsys):
+    for flag, text, message in (
+        ("--sqr-per-mul", "1/0", "sqr_per_mul must be an exact ratio, got '1/0'"),
+        ("--addf-per-mul", "-1", "addf_per_mul must be nonnegative, got -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "picard", flag, text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_bench_ratio_flags_override_profile_ratios_one_by_one(tmp_path, capsys):
+    data = dict(
+        {kind: {"M": 1} for kind in ("add", "dbl", "neg_add", "neg_dbl")},
+        neg={},
+        ratios={"sqr_per_mul": "1/2", "inv_per_mul": "5"},
+    )
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(data))
+    rc, out = run_cli(capsys, "bench", "custom", "--profile", str(path), "--bits", "16",
+                      "--samples", "2", "--format", "json", "--inv-per-mul", "7/2")
+    assert rc == 0
+    assert json.loads(out)["ratios"] == {"sqr_per_mul": "1/2", "inv_per_mul": "7/2", "addf_per_mul": "0"}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_bench_runs_every_bundled_preset(capsys, name):
+    for fmt in ("table", "json"):
+        rc, out = run_cli(capsys, "bench", name, "--bits", "16", "--samples", "3", "--format", fmt)
+        assert rc == 0
+    assert json.loads(out)["preset"] == name
 
 
 def test_bench_rejects_bad_bits(capsys):

@@ -58,6 +58,10 @@ def test_ratios_are_exact():
         ({"sqr_per_mul": 0.1}, "sqr_per_mul must be an exact ratio, got 0.1"),
         ({"inv_per_mul": 10.0}, "inv_per_mul must be an exact ratio, got 10.0"),
         ({"addf_per_mul": False}, "addf_per_mul must be an exact ratio, got False"),
+        ({"sqr_per_mul": "1/0"}, "sqr_per_mul must be an exact ratio, got '1/0'"),
+        ({"inv_per_mul": "abc"}, "inv_per_mul must be an exact ratio, got 'abc'"),
+        ({"addf_per_mul": ""}, "addf_per_mul must be an exact ratio, got ''"),
+        ({"inv_per_mul": None}, "inv_per_mul must be an exact ratio, got None"),
     )
     for kwargs, message in cases:
         with pytest.raises(ValueError) as exc:

@@ -239,3 +239,22 @@ def test_load_profile_rejects_bad_input(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ValueError, match="top level"):
         load_profile(array)
+
+
+def test_load_profile_errors_name_the_file_and_field(tmp_path):
+    cases = (
+        (dict(VALID_PROFILE, dbl={"S": -1}), "dbl: sqr count must be a nonnegative integer, got -1"),
+        (
+            dict(VALID_PROFILE, ratios={"sqr_per_mul": "1/0"}),
+            "ratios: sqr_per_mul must be an exact ratio, got '1/0'",
+        ),
+        (
+            dict(VALID_PROFILE, ratios={"inv_per_mul": "-1"}),
+            "ratios: inv_per_mul must be nonnegative, got -1",
+        ),
+    )
+    for data, message in cases:
+        path = _write(tmp_path, data)
+        with pytest.raises(ValueError) as exc:
+            load_profile(path)
+        assert str(exc.value) == f"{path}: {message}"
