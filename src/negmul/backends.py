@@ -165,8 +165,8 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
 
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_bytes())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
@@ -213,6 +213,10 @@ class CostChargingGroup(NegationAwareGroup):
 
     Results are exactly the inner group's; only cost_of changes, so
     prices_of(this group) gives the profile's prices to read ledgers at.
+    Each instance binds the inner group's five operations as its own, so a
+    call reaches them with no forwarding frame (for TrivialGroup, straight
+    to its C builtins). The class methods below forward the same calls and
+    stay for the interface.
     """
 
     __slots__ = ("inner", "profile")
@@ -220,6 +224,8 @@ class CostChargingGroup(NegationAwareGroup):
     def __init__(self, inner: NegationAwareGroup, profile: CostProfile) -> None:
         self.inner = inner
         self.profile = profile
+        for kind in OP_KINDS:
+            setattr(self, kind, getattr(inner, kind))
 
     @property
     def identity(self) -> Element:

@@ -191,7 +191,9 @@ def run_bench(
         raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
     scalars = sample_scalars(bits, samples, seed)
     # Only ledger counts are read and the walk never looks at an element, so
-    # every driver runs in the trivial group, whose ops are C builtins.
+    # every driver runs in the trivial group, whose ops are C builtins. The
+    # wrapper binds them on itself, so each group op the walk makes is one C
+    # call with no forwarding frame.
     group = CostChargingGroup(TrivialGroup(), profile)
     D = group.identity
     algo_ids = algorithms_for_form(form)

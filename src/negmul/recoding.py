@@ -88,7 +88,7 @@ class SignedExpansion:
     @property
     def weight(self) -> int:
         """Number of nonzero digits."""
-        return sum(1 for d in self.digits if d)
+        return len(self.digits) - self.digits.count(0)
 
     @property
     def value(self) -> int:

@@ -488,6 +488,15 @@ def test_ledger_counts_equal_the_group_calls_made():
             assert_ledger_counts_the_calls(-m, *run)
 
 
+def test_charging_wrapper_passes_every_group_call_through_once():
+    for algo, form, width in FORM_RUNS:
+        for m in range(-(1 << 8) + 1, 1 << 8):
+            inner = CountingGroup()
+            res = scalar_mul(m, 1, CostChargingGroup(inner, PICARD_PROFILE), algo, form=form, width=width)
+            assert res.element == m, (algo, form, width, m)
+            assert inner.calls == res.ledger.counts(), (algo, form, width, m)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(run=st.sampled_from(FORM_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
 def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):

@@ -248,6 +248,16 @@ def test_bench_malformed_profile_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"add": "\xff"}'], ids=["bom", "string"])
+def test_bench_profile_that_does_not_decode_names_the_file(tmp_path, capsys, raw):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "custom", "--profile", str(path)])
+    assert exc.value.code == 2
+    assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+
 def test_bench_ratio_override(capsys):
     rc, out = run_cli(capsys, "bench", "picard", "--bits", "16", "--samples", "2",
                       "--inv-per-mul", "100", "--format", "json")

@@ -1,6 +1,7 @@
 """Tests for the group interface, the modular oracle and the cost backends."""
 
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from negmul import (
     savings_percent,
     weighted_total,
 )
+from negmul.backends import TrivialGroup
 
 SMALL_PRIMES = (5, 7, 11, 31, 97)
 
@@ -92,6 +94,16 @@ def test_cost_charging_group_is_transparent():
         for b in range(97):
             assert charged.add(a, b) == inner.add(a, b)
             assert charged.neg_add(a, b) == inner.neg_add(a, b)
+
+
+def test_cost_charging_group_binds_the_inner_ops():
+    inner = ModularGroup(97)
+    charged = CostChargingGroup(inner, PICARD_PROFILE)
+    for kind in OP_KINDS:
+        assert getattr(charged, kind) == getattr(inner, kind), kind
+    assert CostChargingGroup(TrivialGroup(), PICARD_PROFILE).add is operator.add
+    # the class-level methods still forward to the inner group
+    assert CostChargingGroup.dbl(charged, 5) == inner.dbl(5)
 
 
 def test_charging_examples():
