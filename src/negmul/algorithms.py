@@ -86,6 +86,13 @@ def walk_ledgers(
     is no lookahead and (length - 1) * fuse_dbl + (weight - 1) * fuse_add is
     odd; and a neg for a negated base.
     """
+    for name, value in (("length", length), ("weight", weight)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if table_bound is not None and (
+        not isinstance(table_bound, int) or isinstance(table_bound, bool)
+    ):
+        raise ValueError(f"table_bound must be None or an integer, got {table_bound!r}")
     if not 1 <= weight <= length:
         raise ValueError(f"a run needs 1 <= weight <= length, got weight {weight}, length {length}")
     if table_bound is not None and table_bound < 1:

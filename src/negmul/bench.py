@@ -43,6 +43,8 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
     be a nonnegative int: Random would take None as "unseeded" and -1 or True
     as 1, so the report could print a seed that does not reproduce it.
     """
+    if not isinstance(bits, int) or isinstance(bits, bool):
+        raise ValueError(f"bits must be an integer, got {bits!r}")
     if not MIN_BITS <= bits <= MAX_BITS:
         raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:

@@ -138,8 +138,9 @@ def cmd_mul(args: argparse.Namespace) -> int:
         result = scalar_mul(args.scalar, 1, group, args.algo, form=args.form, width=args.width)
     except ValueError as exc:
         args.parser.error(str(exc))
+    ledger = result.ledger  # made from the run's shape on each read
     print(result.element)
-    print("ops: " + " ".join(f"{kind}={result.ledger.count(kind)}" for kind in OP_KINDS))
+    print("ops: " + " ".join(f"{kind}={ledger.count(kind)}" for kind in OP_KINDS))
     return 0
 
 

@@ -5,64 +5,6 @@ from collections import defaultdict
 from negmul import OP_KINDS, NegationAwareGroup
 
 
-class IntegerGroup(NegationAwareGroup):
-    """The free group Z; neg_add and neg_dbl come from the base class.
-
-    The drivers branch on digits, never on element values, so a run with
-    D = 1 here returns the integer coefficient the driver actually computed:
-    it equals m exactly when the product is right in every group at once.
-    """
-
-    @property
-    def identity(self):
-        return 0
-
-    def add(self, a, b):
-        return a + b
-
-    def dbl(self, a):
-        return 2 * a
-
-    def neg(self, a):
-        return -a
-
-
-class CountingGroup(NegationAwareGroup):
-    """IntegerGroup that tallies the calls it receives, per operation kind.
-
-    A fused call counts once, as itself: the inner group composes it from
-    add/dbl and neg out of sight of the tally.
-    """
-
-    def __init__(self):
-        self.inner = IntegerGroup()
-        self.calls = dict.fromkeys(OP_KINDS, 0)
-
-    @property
-    def identity(self):
-        return self.inner.identity
-
-    def add(self, a, b):
-        self.calls["add"] += 1
-        return self.inner.add(a, b)
-
-    def dbl(self, a):
-        self.calls["dbl"] += 1
-        return self.inner.dbl(a)
-
-    def neg(self, a):
-        self.calls["neg"] += 1
-        return self.inner.neg(a)
-
-    def neg_add(self, a, b):
-        self.calls["neg_add"] += 1
-        return self.inner.neg_add(a, b)
-
-    def neg_dbl(self, a):
-        self.calls["neg_dbl"] += 1
-        return self.inner.neg_dbl(a)
-
-
 class Opaque:
     """An element that can be passed around and nothing else.
 
@@ -82,21 +24,42 @@ class Opaque:
     __eq__ = __bool__ = __hash__ = __index__ = _read
 
 
-class ObliviousGroup(NegationAwareGroup):
-    """IntegerGroup over Opaque elements: the coefficients, out of the drivers' sight."""
+class FreeGroup(NegationAwareGroup):
+    """The free group Z over Opaque elements, tallying its calls per operation kind.
+
+    The drivers branch on digits, never on element values, so a run with
+    D = Opaque(1) returns the integer coefficient the driver actually
+    computed: it equals m exactly when the product is right in every group
+    at once. A driver that reads an element fails on the Opaque, and calls
+    shows which operations it made; a fused call counts once, as itself.
+    """
+
+    def __init__(self):
+        self.calls = dict.fromkeys(OP_KINDS, 0)
 
     @property
     def identity(self):
         return Opaque(0)
 
     def add(self, a, b):
+        self.calls["add"] += 1
         return Opaque(a.coefficient + b.coefficient)
 
     def dbl(self, a):
+        self.calls["dbl"] += 1
         return Opaque(2 * a.coefficient)
 
     def neg(self, a):
+        self.calls["neg"] += 1
         return Opaque(-a.coefficient)
+
+    def neg_add(self, a, b):
+        self.calls["neg_add"] += 1
+        return Opaque(-(a.coefficient + b.coefficient))
+
+    def neg_dbl(self, a):
+        self.calls["neg_dbl"] += 1
+        return Opaque(-2 * a.coefficient)
 
 
 def reference_width_w_naf(m, w):
@@ -174,33 +137,38 @@ def min_window_weight(m, w, max_len):
 
 
 def walk_sign_invariant(e, D, n, trace):
-    """Assert (-1)**f * E == (digit prefix) * D mod n at every traced step.
+    """Assert (-1)**f * E == (digit prefix) * D at every traced step.
 
+    Mod n over ModularGroup's int elements; with n = None exactly in Z, over
+    FreeGroup's Opaque elements and the integer coefficient D of the base.
     Works for any driver's trace: init, then per digit position one doubling
     step and optionally one addition step, then an optional final negation.
     """
+
+    def holds(step, prefix):
+        if n is None:
+            value = step.element.coefficient
+            return (-value if step.f else value) == prefix * D
+        return (-step.element if step.f else step.element) % n == prefix * D % n
+
     assert trace, "empty trace"
     prefix = e.digits[0]
     steps = iter(trace)
     first = next(steps)
     assert first.kind == "init", first.kind
-    assert _signed(first.element, first.f, n) == prefix * D % n, ("init", e.digits)
+    assert holds(first, prefix), ("init", e.digits)
     for d in e.digits[1:]:
         step = next(steps)
         assert step.kind in ("dbl", "neg_dbl"), step.kind
         prefix *= 2
-        assert _signed(step.element, step.f, n) == prefix * D % n, (step, e.digits)
+        assert holds(step, prefix), (step, e.digits)
         if d:
             step = next(steps)
             assert step.kind in ("add", "neg_add"), step.kind
             prefix += d
-            assert _signed(step.element, step.f, n) == prefix * D % n, (step, e.digits)
+            assert holds(step, prefix), (step, e.digits)
     rest = list(steps)
     if rest:
         assert [s.kind for s in rest] == ["final_neg"], rest
-        assert _signed(rest[0].element, rest[0].f, n) == prefix * D % n, (rest[0], e.digits)
+        assert holds(rest[0], prefix), (rest[0], e.digits)
     assert prefix == e.value
-
-
-def _signed(element, f, n):
-    return element if f == 0 else -element % n

@@ -11,7 +11,6 @@ from negmul import (
     ALGORITHM_IDS,
     ALGORITHMS,
     RECODING_FORMS,
-    CostVector,
     ModularGroup,
     PICARD_PROFILE,
     CostChargingGroup,
@@ -36,19 +35,7 @@ from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 
-from oracles import CountingGroup, IntegerGroup, ObliviousGroup, Opaque, walk_sign_invariant
-
-
-# every registry entry on its default form, the windowed one at widths 2-6
-REGISTRY_RUNS = [(algo, 4) for algo in ALGORITHMS if algo != "window"]
-REGISTRY_RUNS += [("window", w) for w in range(2, 7)]
-# every registry entry on every form it lists, wnaf at widths 2-6
-FORM_RUNS = [
-    (algo, form, width)
-    for algo, (forms, _) in ALGORITHMS.items()
-    for form in forms
-    for width in (range(2, 7) if form == "wnaf" else (4,))
-]
+from oracles import FreeGroup, Opaque, walk_sign_invariant
 
 
 def counts(ledger):
@@ -131,40 +118,6 @@ def test_neg_scalar_mul_rejects_bad_expansions():
         assert str(exc.value) == "digits must lie in {-1, 0, 1}, got digit_bound 3"
 
 
-def test_neg_scalar_mul_parity_identity_and_terminal_flag():
-    g = ModularGroup(8191)
-    for m in range(1, 1 << 10):
-        e = naf(m)
-        res = neg_scalar_mul(e, 1, g, trace=True)
-        assert res.element == m % 8191
-        assert res.trace[0].f == (e.length + e.weight) % 2
-        assert res.trace[-1].f == 0
-        # sign-introducing operations beyond the stored -D: l + w - 2
-        assert res.ledger.count("neg_dbl") + res.ledger.count("neg_add") == e.length + e.weight - 2
-
-
-def test_neg_scalar_mul_counts_match_baseline_pairwise():
-    g = ModularGroup(257)
-    rng = random.Random(9)
-    for _ in range(50):
-        m = rng.randrange(2, 1 << 128)
-        e = naf(m)
-        fused = neg_scalar_mul(e, 3, g).ledger
-        plain = double_and_add(e, 3, g).ledger
-        assert fused.count("neg_dbl") == plain.count("dbl") == e.length - 1
-        assert fused.count("neg_add") == plain.count("add") == e.weight - 1
-        assert fused.count("dbl") == fused.count("add") == 0
-
-
-def test_neg_scalar_mul_loop_invariant_small():
-    n = 8191
-    g = ModularGroup(n)
-    for m in range(1, 1 << 10):
-        e = naf(m)
-        res = neg_scalar_mul(e, 1, g, trace=True)
-        walk_sign_invariant(e, 1, n, res.trace)
-
-
 def test_online_examples():
     res = neg_scalar_mul_online(SignedExpansion((1, 0)), 1, ModularGroup(5), trace=True)
     assert res.element == 2
@@ -178,16 +131,6 @@ def test_online_examples():
     res = neg_scalar_mul_online(SignedExpansion((1,)), 4, ModularGroup(9))
     assert res.element == 4
     assert counts(res.ledger) == {"neg": 1}
-
-
-def test_online_final_negation_follows_parity():
-    g = ModularGroup(8191)
-    for m in range(1, 1 << 10):
-        e = naf(m)
-        res = neg_scalar_mul_online(e, 1, g)
-        assert res.element == m % 8191
-        negated = res.ledger.count("neg") == 2
-        assert negated == ((e.length + e.weight) % 2 == 1)
 
 
 def test_mixed_ledger_examples():
@@ -204,27 +147,6 @@ def test_mixed_ledger_examples():
 def test_mixed_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
         mixed_scalar_mul(naf(3), 1, ModularGroup(7), "neg_everything")
-
-
-def test_mixed_elements_agree_with_fused_driver():
-    g = ModularGroup(101)
-    for m in range(1, 400):
-        e = naf(m)
-        want = neg_scalar_mul(e, 5, g).element
-        assert mixed_scalar_mul(e, 5, g, "neg_doubling_only").element == want
-        assert mixed_scalar_mul(e, 5, g, "neg_addition_only").element == want
-
-
-def test_mixed_invariant_and_terminal_flag():
-    n = 8191
-    g = ModularGroup(n)
-    for m in range(1, 1 << 9):
-        e = naf(m)
-        for mode in ("neg_doubling_only", "neg_addition_only"):
-            res = mixed_scalar_mul(e, 1, g, mode, trace=True)
-            assert res.element == m % n
-            walk_sign_invariant(e, 1, n, res.trace)
-            assert res.trace[-1].f == 0
 
 
 def test_windowed_examples():
@@ -263,17 +185,6 @@ def test_windowed_matches_online_for_width_2():
         from_online = neg_scalar_mul_online(e, 1, g)
         assert from_window.element == from_online.element
         assert from_window.ledger == from_online.ledger
-
-
-def test_windowed_invariant_small():
-    n = 8191
-    g = ModularGroup(n)
-    for m in range(1, 1 << 9):
-        for w in (3, 4):
-            e = width_w_naf(m, w)
-            res = windowed_neg_scalar_mul(e, 1, g, w, trace=True)
-            assert res.element == m % n
-            walk_sign_invariant(e, 1, n, res.trace)
 
 
 def test_windowed_rejects_bad_input():
@@ -436,107 +347,108 @@ def test_scalar_mul_rejects_bad_widths_whatever_the_scalar():
         assert scalar_mul(m, 1, g, "neg", width=MIN_WIDTH - 1).element == m % 101
 
 
-def test_every_algorithm_computes_exact_coefficients_in_the_free_group():
-    g = IntegerGroup()
-    rng = random.Random(2003)
-    scalars = list(range(1, 1 << 12)) + [rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
-    for algo, width in REGISTRY_RUNS:
-        for m in scalars:
-            assert scalar_mul(m, 1, g, algo, width=width).element == m, (algo, width, m)
+# every registry entry on every form it lists, wnaf at widths 2-16
+CONTRACT_RUNS = [
+    (algo, form, width)
+    for algo, (forms, _) in ALGORITHMS.items()
+    for form in forms
+    for width in (range(MIN_WIDTH, MAX_WIDTH + 1) if form == "wnaf" else (4,))
+]
+_rng = random.Random(2003)
+SEEDED_4096 = [_rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
+# From width 10 on, each |m| < 2**8 recodes to one odd digit and its zeros, as
+# at width 9, and only the table grows (2**(w - 2) entries): a few scalars
+# cover those widths, where every m would take minutes.
+WIDE_TABLE_SCALARS = (-255, -6, -3, 2, 3, 6, 255)
+# bench's group: the trivial group {0} in the charging wrapper
+TRIVIAL = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
 
 
-def test_drivers_never_read_an_element():
-    g = ObliviousGroup()
+def contract_scalars(algo, form, width):
+    if width >= 10:
+        return WIDE_TABLE_SCALARS
+    if width >= 7:
+        return range(-(1 << 8) + 1, 1 << 8)
+    scalars = [*range(-(1 << 10) + 1, 1 << 10)]
+    if form == ALGORITHMS[algo].forms[0]:
+        scalars += [*range(1 << 10, 1 << 12), *SEEDED_4096]
+    return scalars
+
+
+# per entry: the loop's doubling and addition kinds, and whether it looks
+# ahead (starts at the parity of the flips its fused steps make, so the flag
+# closes at 0) or starts at f = 0 and closes with a final_neg when they are odd
+STEP_KINDS = {
+    "baseline": ("dbl", "add", True),
+    "neg": ("neg_dbl", "neg_add", True),
+    "online": ("neg_dbl", "neg_add", False),
+    "neg-dbl-only": ("neg_dbl", "add", True),
+    "neg-add-only": ("dbl", "neg_add", True),
+    "window": ("neg_dbl", "neg_add", False),
+}
+
+
+def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
+    """The driver contract for one scalar m: the exact coefficient with no
+    element read, a ledger that counts the group calls made and that bench's
+    trivial group reproduces; optionally the charging wrapper's pass-through
+    and the traced run's calls, sign invariant and step kinds."""
+    run = (algo, form, width, m)
+    g = FreeGroup()
+    # bench's charging wrapper must pass each call through to the inner group once
+    group = CostChargingGroup(g, PICARD_PROFILE) if wrapped else g
+    res = scalar_mul(m, Opaque(1), group, algo, form=form, width=width)
+    assert (res.element.coefficient, res.trace) == (m, None), run
+    assert res.ledger.counts() == g.calls, run
+    # bench runs its drivers in the trivial group and reads only their ledgers,
+    # which walk_ledgers makes from the shape alone
+    got = scalar_mul(m, TRIVIAL.identity, TRIVIAL, algo, form=form, width=width)
+    assert (got.element, got.shape) == (0, res.shape), run
+    if not traced:
+        return
+    traced_g = FreeGroup()
+    got = scalar_mul(m, Opaque(1), traced_g, algo, form=form, width=width, trace=True)
+    assert got.element.coefficient == m, run
+    assert (got.shape, traced_g.calls) == (res.shape, g.calls), run
+    assert (got.trace is not None) == (abs(m) > 1), run
+    if got.trace is None:
+        return
+    e = recode(abs(m), form, width)
+    # a negative m runs on the negated base -D
+    walk_sign_invariant(e, -1 if m < 0 else 1, None, got.trace)
+    dbl_kind, add_kind, lookahead = STEP_KINDS[algo]
+    doublings, additions = e.length - 1, e.weight - 1
+    odd = (doublings * (dbl_kind == "neg_dbl") + additions * (add_kind == "neg_add")) % 2
+    expected = {"init": 1, dbl_kind: doublings, add_kind: additions}
+    expected["final_neg"] = 0 if lookahead else odd
+    assert Counter(step.kind for step in got.trace) == +Counter(expected), run
+    # no table is built with fused steps, so each fused call is a traced step
+    for kind in ("neg_dbl", "neg_add"):
+        assert traced_g.calls[kind] == expected.get(kind, 0), run
+    assert (got.trace[0].f, got.trace[-1].f) == (odd if lookahead else 0, 0), run
+
+
+def test_opaque_elements_raise_when_read():
     D = Opaque(1)
     for reads in (D.__eq__, bool, hash, [0, 1].__getitem__):
         with pytest.raises(AssertionError, match="read an element"):
             reads(D)
-    runs = [
-        (algo, form, width)
-        for algo, (forms, _) in ALGORITHMS.items()
-        for form in forms
-        for width in (range(MIN_WIDTH, MAX_WIDTH + 1) if form == "wnaf" else (4,))
-    ]
-    every_m = range(-(1 << 8) + 1, 1 << 8)
-    for algo, form, width in runs:
-        # From width 10 on, each m below 2**8 recodes to one odd digit and its
-        # zeros, as at width 9, and only the table grows (2**(w - 2) entries):
-        # a few scalars cover those widths, where every m would take minutes.
-        for m in every_m if width <= 9 else (-255, -6, -3, 2, 3, 6, 255):
-            for trace in (False, True):
-                res = scalar_mul(m, D, g, algo, form=form, width=width, trace=trace)
-                assert res.element.coefficient == m, (algo, form, width, m, trace)
 
 
-def assert_ledger_counts_the_calls(m, algo, form, width):
-    g = CountingGroup()
-    res = scalar_mul(m, 1, g, algo, form=form, width=width)
-    assert res.element == m, (algo, form, width, m)
-    assert res.ledger.counts() == g.calls, (algo, form, width, m)
-    # bench runs its drivers in the trivial group and reads only their ledgers
-    trivial = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
-    got = scalar_mul(m, trivial.identity, trivial, algo, form=form, width=width)
-    assert got.element == 0, (algo, form, width, m)
-    assert got.ledger == res.ledger, (algo, form, width, m)
-    assert got.table_ledger == res.table_ledger, (algo, form, width, m)
-
-
-def test_ledger_counts_equal_the_group_calls_made():
-    for run in FORM_RUNS:
-        for m in range(1, 1 << 10):
-            assert_ledger_counts_the_calls(m, *run)
-            assert_ledger_counts_the_calls(-m, *run)
-
-
-def test_charging_wrapper_passes_every_group_call_through_once():
-    for algo, form, width in FORM_RUNS:
-        for m in range(-(1 << 8) + 1, 1 << 8):
-            inner = CountingGroup()
-            res = scalar_mul(m, 1, CostChargingGroup(inner, PICARD_PROFILE), algo, form=form, width=width)
-            assert res.element == m, (algo, form, width, m)
-            assert inner.calls == res.ledger.counts(), (algo, form, width, m)
+@pytest.mark.parametrize("algo, form, width", CONTRACT_RUNS)
+def test_every_driver_keeps_the_contract(algo, form, width):
+    for m in contract_scalars(algo, form, width):
+        traced = -(1 << 8) < m < 1 << 10
+        assert_contract(algo, form, width, m, traced=traced, wrapped=abs(m) < 1 << 8)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(run=st.sampled_from(FORM_RUNS), m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1))
+@given(
+    run=st.sampled_from([run for run in CONTRACT_RUNS if run[2] <= 6]),
+    m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1),
+)
 def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
-    assert_ledger_counts_the_calls(m, *run)
-
-
-def test_trace_changes_nothing_but_the_trace():
-    for algo, form, width in FORM_RUNS:
-        for m in range(1, 1 << 10):
-            runs = []
-            for trace in (False, True):
-                g = CountingGroup()
-                res = scalar_mul(m, 1, g, algo, form=form, width=width, trace=trace)
-                runs.append((res.element, res.shape, g.calls))
-                assert (res.trace is not None) == (trace and m > 1), (algo, form, width, m)
-            assert runs[0] == runs[1], (algo, form, width, m)
-
-
-# the loop's step kinds, and the closing flag's parity from (length, weight)
-STEP_KINDS = {
-    "baseline": ("dbl", "add", lambda length, weight: 0),
-    "online": ("neg_dbl", "neg_add", lambda length, weight: (length + weight) % 2),
-}
-
-
-@pytest.mark.parametrize("algo", sorted(STEP_KINDS))
-def test_traced_steps_keep_the_sign_invariant_and_count_the_digits(algo):
-    dbl_kind, add_kind, closing = STEP_KINDS[algo]
-    n = 8191
-    g = ModularGroup(n)
-    for _, form, width in (run for run in FORM_RUNS if run[0] == algo):
-        for m in range(2, 1 << 10):
-            e = recode(m, form, width)
-            trace = scalar_mul(m, 1, g, algo, form=form, width=width, trace=True).trace
-            walk_sign_invariant(e, 1, n, trace)
-            expected = {"init": 1, dbl_kind: e.length - 1, add_kind: e.weight - 1}
-            expected["final_neg"] = closing(e.length, e.weight)
-            kinds = Counter(step.kind for step in trace)
-            assert kinds == +Counter(expected), (algo, form, width, m)
-            assert trace[-1].f == 0
+    assert_contract(*run, m)
 
 
 def test_table_ledger_equals_the_calls_that_build_the_table():
@@ -544,9 +456,11 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
     # the baseline takes from an expansion's digit_bound; the table built alone
     widths = range(MIN_WIDTH, MAX_WIDTH + 1)
     for bound in sorted({*range(1, 34), *((1 << (w - 1)) - 1 for w in widths)}):
-        g = CountingGroup()
-        table = _odd_multiples(1, g, bound)
-        assert table == {d: d for d in range(-bound, bound + 1) if d % 2}, bound
+        g = FreeGroup()
+        table = _odd_multiples(Opaque(1), g, bound)
+        assert {d: x.coefficient for d, x in table.items()} == {
+            d: d for d in range(-bound, bound + 1) if d % 2
+        }, bound
         ledger, table_ledger = walk_ledgers(1, 1, False, True, True, False, bound)
         assert table_ledger.counts() == g.calls, bound
         assert ledger == table_ledger, bound  # one digit: no step, no closing negation
@@ -554,7 +468,7 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
 
 def test_ledgers_are_made_from_the_shape():
     assert MulResult._fields == ("element", "shape", "trace")
-    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), 1, CountingGroup(), 4)
+    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), Opaque(1), FreeGroup(), 4)
     for read in (lambda: res.ledger, lambda: res.table_ledger):
         first = read()
         assert read() == first and read() is not first
@@ -564,13 +478,13 @@ def test_ledgers_are_made_from_the_shape():
     assert res.table_ledger.count("neg") == 4
 
     # scalar_mul's negation of the base is one more neg in the shape
-    g = CountingGroup()
-    res = scalar_mul(-1000, 1, g, "neg")
+    g = FreeGroup()
+    res = scalar_mul(-1000, Opaque(1), g, "neg")
     assert res.ledger.count("neg") == g.calls["neg"] == 2
     assert res.ledger.counts() == g.calls
     for m in (0, 1):
-        assert counts(scalar_mul(m, 1, CountingGroup()).ledger) == {}
-    assert counts(scalar_mul(-1, 1, CountingGroup()).ledger) == {"neg": 1}
+        assert counts(scalar_mul(m, Opaque(1), FreeGroup()).ledger) == {}
+    assert counts(scalar_mul(-1, Opaque(1), FreeGroup()).ledger) == {"neg": 1}
 
 
 def test_walk_ledgers_rejects_shapes_that_are_not_runs():
@@ -582,6 +496,13 @@ def test_walk_ledgers_rejects_shapes_that_are_not_runs():
         message = f"^table_bound must be None or at least 1, got {bound}$"
         with pytest.raises(ValueError, match=message):
             walk_ledgers(3, 2, False, True, True, False, bound)
+    for bad in (3.0, True, "3"):
+        for name, sizes in (("length", (bad, 1)), ("weight", (3, bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                walk_ledgers(*sizes, False, True, True, True, None)
+        message = f"^table_bound must be None or an integer, got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            walk_ledgers(3, 2, False, True, True, False, bad)
 
 
 def test_verify_makes_no_ledger(monkeypatch):

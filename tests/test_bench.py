@@ -23,7 +23,7 @@ from negmul import (
 )
 from negmul.recoding import recode
 
-from oracles import IntegerGroup
+from oracles import FreeGroup, Opaque
 
 
 def test_sample_scalars_properties():
@@ -41,6 +41,12 @@ def test_sample_scalars_validation():
         sample_scalars(4097, 1, 0)
     with pytest.raises(ValueError, match="count"):
         sample_scalars(64, 0, 0)
+    for bits in (8.0, 160.5, "160", None, True):
+        message = f"^bits must be an integer, got {bits!r}$"
+        with pytest.raises(ValueError, match=message):
+            sample_scalars(bits, 2, 0)
+        with pytest.raises(ValueError, match=message):
+            run_bench(PICARD_PROFILE, bits=bits, samples=2)
 
 
 def test_sample_scalars_take_only_seeds_that_reproduce_the_sample():
@@ -145,8 +151,9 @@ def test_report_is_self_consistent():
 
 @pytest.mark.parametrize("profile", [PICARD_PROFILE, HYPERELLIPTIC_PROFILE], ids=lambda p: p.name)
 def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
-    group = CostChargingGroup(IntegerGroup(), profile)
+    group = CostChargingGroup(FreeGroup(), profile)
     prices = prices_of(group)
+    D = Opaque(1)
     runs = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
     for seed in (0, 1, 2, 3):
         for form, width in runs:
@@ -155,7 +162,7 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
                 merged = CostLedger()
                 for m in sample_scalars(24, 60, seed):
                     e = recode(m, form, width)
-                    merged.merge(ALGORITHMS[entry.algo_id].run(e, 1, group, width, False).ledger)
+                    merged.merge(ALGORITHMS[entry.algo_id].run(e, D, group, width, False).ledger)
                 assert entry.ledger == merged, (seed, form, width, entry.algo_id)
                 total = weighted_total(merged.total(prices))
                 assert entry.total_weighted == total, (seed, form, width, entry.algo_id)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import negmul
-from negmul import cli
+from negmul import algorithms, cli
 from negmul.backends import PRESETS
 from negmul.verify import Mismatch
 
@@ -74,6 +74,21 @@ def test_mul_neg_driver(capsys):
     lines = out.splitlines()
     assert lines[0] == "3"
     assert lines[1] == "ops: add=0 dbl=0 neg=1 neg_add=1 neg_dbl=2"
+
+
+def test_mul_makes_one_ledger(monkeypatch, capsys):
+    calls = []
+    make_ledgers = algorithms.walk_ledgers
+
+    def counting_walk_ledgers(*shape):
+        calls.append(shape)
+        return make_ledgers(*shape)
+
+    monkeypatch.setattr(algorithms, "walk_ledgers", counting_walk_ledgers)
+    rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "-17", "--algo", "neg")
+    assert rc == 0
+    assert out == "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n"
+    assert len(calls) == 1
 
 
 def test_mul_zero(capsys):
