@@ -136,13 +136,14 @@ def min_window_weight(m, w, max_len):
     return best
 
 
-def walk_sign_invariant(e, D, n, trace):
+def walk_sign_invariant(e, D, n, trace, dbl_kinds=("dbl", "neg_dbl"), add_kinds=("add", "neg_add")):
     """Assert (-1)**f * E == (digit prefix) * D at every traced step.
 
     Mod n over ModularGroup's int elements; with n = None exactly in Z, over
     FreeGroup's Opaque elements and the integer coefficient D of the base.
     Works for any driver's trace: init, then per digit position one doubling
-    step and optionally one addition step, then an optional final negation.
+    step (of dbl_kinds) and, for a nonzero digit, one addition step (of
+    add_kinds), then an optional final negation.
     """
 
     def holds(step, prefix):
@@ -159,12 +160,12 @@ def walk_sign_invariant(e, D, n, trace):
     assert holds(first, prefix), ("init", e.digits)
     for d in e.digits[1:]:
         step = next(steps)
-        assert step.kind in ("dbl", "neg_dbl"), step.kind
+        assert step.kind in dbl_kinds, step.kind
         prefix *= 2
         assert holds(step, prefix), (step, e.digits)
         if d:
             step = next(steps)
-            assert step.kind in ("add", "neg_add"), step.kind
+            assert step.kind in add_kinds, step.kind
             prefix += d
             assert holds(step, prefix), (step, e.digits)
     rest = list(steps)
