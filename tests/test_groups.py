@@ -83,6 +83,19 @@ def test_modular_group_validation_and_metadata():
     assert repr(g) == "ModularGroup(7)"
 
 
+def test_cost_charging_group_is_transparent():
+    inner = ModularGroup(97)
+    charged = CostChargingGroup(inner, PICARD_PROFILE)
+    assert charged.identity == inner.identity
+    for a in range(97):
+        assert charged.dbl(a) == inner.dbl(a)
+        assert charged.neg(a) == inner.neg(a)
+        assert charged.neg_dbl(a) == inner.neg_dbl(a)
+        for b in range(97):
+            assert charged.add(a, b) == inner.add(a, b)
+            assert charged.neg_add(a, b) == inner.neg_add(a, b)
+
+
 def test_cost_charging_group_binds_the_inner_ops():
     inner = ModularGroup(97)
     charged = CostChargingGroup(inner, PICARD_PROFILE)
