@@ -84,11 +84,21 @@ def walk_ledgers(
     entries - 1 adds and one neg per entry); length - 1 doublings and
     weight - 1 additions of the chosen kinds; a closing neg exactly when there
     is no lookahead and (length - 1) * fuse_dbl + (weight - 1) * fuse_add is
-    odd; and a neg for a negated base.
+    odd; and a neg for a negated base. The five flags must be bools, since a
+    truth value would price a run that no walk makes.
     """
     for name, value in (("length", length), ("weight", weight)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in (
+        ("negative", negative),
+        ("fuse_dbl", fuse_dbl),
+        ("fuse_add", fuse_add),
+        ("lookahead", lookahead),
+        ("negated_base", negated_base),
+    ):
+        if value is not True and value is not False:
+            raise ValueError(f"{name} must be a bool, got {value!r}")
     if table_bound is not None and (
         not isinstance(table_bound, int) or isinstance(table_bound, bool)
     ):

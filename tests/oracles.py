@@ -2,7 +2,8 @@
 
 from collections import defaultdict
 
-from negmul import OP_KINDS, NegationAwareGroup
+from negmul import OP_KINDS, ModularGroup, NegationAwareGroup
+from negmul.verify import MAX_MISMATCHES, VERIFY_PRIMES, Mismatch
 
 
 class Opaque:
@@ -173,3 +174,27 @@ def walk_sign_invariant(e, D, n, trace, dbl_kinds=("dbl", "neg_dbl"), add_kinds=
         assert [s.kind for s in rest] == ["final_neg"], rest
         assert holds(rest[0], prefix), (rest[0], e.digits)
     assert prefix == e.value
+
+
+def reference_verify(max_n, multiplier, algorithms):
+    """verify_universal_agreement's sweep with one run per (n, m, D, driver).
+
+    Each driver runs on base D in ModularGroup(n) and its product is
+    compared at once, so the count at the MAX_MISMATCHES-th mismatch and the
+    order of the mismatches are those of the plain nested loop.
+    """
+    checked = 0
+    mismatches = []
+    for n in (p for p in VERIFY_PRIMES if p <= max_n):
+        group = ModularGroup(n)
+        for m in range(multiplier * n):
+            for D in range(n):
+                expected = (m * D) % n
+                for name, drive in algorithms.items():
+                    got = drive(m, D, group)
+                    checked += 1
+                    if got != expected:
+                        mismatches.append(Mismatch(n, D, m, name, got, expected))
+                        if len(mismatches) >= MAX_MISMATCHES:
+                            return checked, mismatches
+    return checked, mismatches

@@ -1,6 +1,7 @@
 """Tests for the scalar-multiplication drivers."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -34,8 +35,9 @@ from negmul import algorithms
 from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
+from negmul.verify import MAX_MISMATCHES, VERIFY_PRIMES, _Lanes, default_verify_algorithms
 
-from oracles import FreeGroup, Opaque, walk_sign_invariant
+from oracles import FreeGroup, Opaque, reference_verify, walk_sign_invariant
 
 
 def counts(ledger):
@@ -503,6 +505,16 @@ def test_walk_ledgers_rejects_shapes_that_are_not_runs():
             walk_ledgers(3, 2, False, True, True, False, bad)
 
 
+def test_walk_ledgers_takes_only_bool_flags():
+    flags = ("negative", "fuse_dbl", "fuse_add", "lookahead", "negated_base")
+    good = dict.fromkeys(flags, False)
+    for name in flags:
+        for bad in ("no", "", 0, 1, 2, None, 1.0):
+            shape = {**good, name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be a bool, got {re.escape(repr(bad))}$"):
+                walk_ledgers(3, 2, table_bound=None, **shape)
+
+
 def test_verify_makes_no_ledger(monkeypatch):
     calls = Counter()
     charge, make_ledgers = CostLedger.charge, algorithms.walk_ledgers
@@ -531,29 +543,87 @@ def test_universal_agreement_small():
     assert checked == 8 * sum(4 * n * n for n in (5, 7, 11))
 
 
-def test_verify_reports_concrete_counterexample():
-    def corrupted(m, D, group):
-        if m == 0:
-            return group.identity
-        e = naf(m)
-        minus_d = group.neg(D)
-        f = (e.length + e.weight + 1) % 2  # deliberately wrong starting parity
-        E = minus_d if f else D
-        for d in e.digits[1:]:
-            E = group.neg_dbl(E)
+def _wrong_start_parity(m, D, group):
+    """The neg driver on naf(m) with a deliberately wrong starting parity."""
+    if m == 0:
+        return group.identity
+    e = naf(m)
+    minus_d = group.neg(D)
+    f = (e.length + e.weight + 1) % 2
+    E = minus_d if f else D
+    for d in e.digits[1:]:
+        E = group.neg_dbl(E)
+        f = 1 - f
+        if d:
+            E = group.neg_add(E, D if (d > 0) == (f == 0) else minus_d)
             f = 1 - f
-            if d:
-                E = group.neg_add(E, D if (d > 0) == (f == 0) else minus_d)
-                f = 1 - f
-        return E
+    return E
 
-    checked, mismatches = verify_universal_agreement(max_n=7, algorithms={"bad": corrupted})
+
+def test_verify_reports_concrete_counterexample():
+    checked, mismatches = verify_universal_agreement(max_n=7, algorithms={"bad": _wrong_start_parity})
     assert mismatches
     first = mismatches[0]
     assert first.algorithm == "bad"
     assert first.got != first.expected
-    assert corrupted(first.m, first.D, ModularGroup(first.n)) == first.got
+    assert _wrong_start_parity(first.m, first.D, ModularGroup(first.n)) == first.got
     assert (first.m * first.D) % first.n == first.expected
+
+
+@pytest.mark.parametrize("max_n", VERIFY_PRIMES)
+def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
+    defaults = default_verify_algorithms()
+
+    def wrong_at_22(m, D, group):
+        E = defaults["neg"](m, D, group)
+        return group.neg(E) if m == 22 else E
+
+    # m = 22 lies beyond n = 5's scalars (m < 20) and is 0 mod 11, so its
+    # mismatches are D = 1..6 for n = 7, then the cap is reached within n = 31;
+    # the wrong driver sits between the defaults, so the (D, driver) order shows
+    mixed = dict(list(defaults.items())[:3]) | {"wrong-at-22": wrong_at_22} | defaults
+    found = {5: 0, 7: 6, 11: 6}.get(max_n, MAX_MISMATCHES)
+    for algorithms, found in (({"bad": _wrong_start_parity}, MAX_MISMATCHES), (mixed, found)):
+        got = verify_universal_agreement(max_n, algorithms=algorithms)
+        assert got == reference_verify(max_n, 4, algorithms)
+        assert len(got[1]) == found
+
+
+def _assert_lanes_agree(n, xs, ys):
+    """Every lane op on the packed xs (and ys) equals ModularGroup(n)'s op lane by lane."""
+    lanes, group = _Lanes(n), ModularGroup(n)
+    a, c = lanes.pack(xs), lanes.pack(ys)
+    for kind in ("add", "neg_add", "dbl", "neg", "neg_dbl"):
+        binary = kind.endswith("add")
+        got = getattr(lanes, kind)(a, c) if binary else getattr(lanes, kind)(a)
+        op = getattr(group, kind)
+        want = [op(x, y) for x, y in zip(xs, ys)] if binary else [op(x) for x in xs]
+        assert [lanes.lane(got, i) for i in range(n)] == want, (kind, xs, ys)
+        assert got == lanes.pack(want), (kind, xs, ys)
+
+
+@pytest.mark.parametrize("n", (5, 7, 11))
+def test_lane_ops_agree_with_modular_ops_on_every_residue_pair(n):
+    lanes = _Lanes(n)
+    assert 2 ** (lanes.width - 2) < 2 * n <= 2 ** (lanes.width - 1)
+    assert lanes.identity == 0
+    assert [lanes.lane(lanes.base, D) for D in range(n)] == list(range(n))
+    for x in range(n):
+        _assert_lanes_agree(n, [x] * n, list(range(n)))
+
+
+@pytest.mark.parametrize("n", (31, 97))
+def test_lane_ops_agree_with_modular_ops_on_seeded_vectors(n):
+    rng = random.Random(n)
+    vectors = [[0] * n, [n - 1] * n]
+    for _ in range(20):
+        v = [rng.randrange(n) for _ in range(n)]
+        low, high = rng.sample(range(n), 2)
+        v[low], v[high] = 0, n - 1
+        vectors.append(v)
+    for xs in vectors:
+        for ys in vectors:
+            _assert_lanes_agree(n, xs, ys)
 
 
 def test_verify_validates_arguments():

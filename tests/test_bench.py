@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,12 @@ def test_algorithms_for_form():
 def test_run_bench_rejects_unknown_form():
     with pytest.raises(ValueError, match="recoding form"):
         run_bench(PICARD_PROFILE, bits=32, samples=2, form="base3")
+
+
+def test_run_bench_rejects_ratios_that_are_not_cost_ratios():
+    for bad in ((1, 2, 3), None, {"sqr_per_mul": 1}):
+        with pytest.raises(ValueError, match=f"^ratios must be a CostRatios, got {re.escape(repr(bad))}$"):
+            run_bench(PICARD_PROFILE, bits=16, samples=2, ratios=bad)
 
 
 def test_picard_bench_sanity():
