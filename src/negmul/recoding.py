@@ -99,10 +99,27 @@ class SignedExpansion:
         return v
 
 
+# the slots' own setters, which __setattr__'s refusal does not reach
+_set_digits = SignedExpansion.digits.__set__
+_set_bound = SignedExpansion.digit_bound.__set__
+
+
+def _trusted(digits: tuple[int, ...], digit_bound: int) -> SignedExpansion:
+    """The SignedExpansion of digits a recoding made, built without re-checking them.
+
+    Only the recodings below call it; the tests rebuild their outputs through
+    SignedExpansion(...), which checks every digit.
+    """
+    e = object.__new__(SignedExpansion)
+    _set_digits(e, digits)
+    _set_bound(e, digit_bound)
+    return e
+
+
 def binary_expansion(m: int) -> SignedExpansion:
     """Plain base-2 digits of m, most-significant first."""
     _require_nonnegative(m)
-    return SignedExpansion(tuple(_bits(m)) if m else (), 1)
+    return _trusted(tuple(_bits(m)) if m else (), 1)
 
 
 def naf(m: int) -> SignedExpansion:
@@ -113,12 +130,12 @@ def naf(m: int) -> SignedExpansion:
     """
     _require_nonnegative(m)
     if m == 0:
-        return SignedExpansion((), 1)
+        return _trusted((), 1)
     triple = 3 * m
     differ = triple ^ m
     plus = _bits((triple & differ) >> 1)
     minus = _bits((m & differ) >> 1, len(plus))
-    return SignedExpansion(tuple(map(sub, plus, minus)), 1)
+    return _trusted(tuple(map(sub, plus, minus)), 1)
 
 
 def width_w_naf(m: int, w: int) -> SignedExpansion:
@@ -149,7 +166,7 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
         top, start = j, j - w + 1
         d = digits[j] = windows[bits[start:j]]
         j = find("0" if d < 0 else "1", 0, start)
-    return SignedExpansion(tuple(digits[top:]), (1 << (w - 1)) - 1)
+    return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1)
 
 
 @cache

@@ -1,10 +1,11 @@
 """Exhaustive agreement checking of every driver against modular arithmetic.
 
-For each modulus n and scalar m, every driver runs once, in the lane group
-(Z/n)^n: one int holds n residues, and the base passed in is the packed
-vector (0, 1, ..., n - 1). No driver reads an element, so lane D of the
-product is the residue the same driver makes from base D in Z/n, and one run
-checks n products against (m * D) mod n.
+For each scalar m, every driver runs once, in one lane group that holds every
+modulus n still live at m (those with m < multiplier * n) side by side: one
+int holds n residues of Z/n per live n, and the base passed in packs each
+live n's (0, 1, ..., n - 1) end to end. No driver reads an element, so each
+lane of the product is the residue the same driver makes from that lane's
+base D in Z/n, and one run checks every live (n, D) against (m * D) mod n.
 """
 
 from __future__ import annotations
@@ -42,64 +43,67 @@ class Mismatch(NamedTuple):
 
 
 class _Lanes(NegationAwareGroup):
-    """(Z/n)^n as one int: residue i in the b-bit lane at bit b * i.
+    """A product of groups Z/n_i as one int: lane i, at bit b * i, is Z/moduli[i].
 
-    b is the least width with 2**(b - 1) >= 2n, so a lane holding the sum of
-    two residues stays below bit b - 1 and never carries into the next lane.
-    Each operation adds, subtracts or shifts, then reduces every lane from
-    [0, 2n) to [0, n) without a branch: adding bias = 2**(b - 1) - n to every
-    lane sets bit b - 1 exactly in the lanes at or above n, and n is
-    subtracted from those. The fused operations are neg(add(.)) and
-    neg(dbl(.)).
+    b is the least width with 2**(b - 1) >= 2 * max(moduli), so a lane holding
+    the sum of two residues stays below bit b - 1 and never carries into the
+    next lane. Each operation adds, subtracts or shifts, then reduces every
+    lane from [0, 2n_i) to [0, n_i) without a branch: adding
+    bias_i = 2**(b - 1) - n_i to lane i sets its bit b - 1 exactly when the
+    lane is at or above n_i; that bit, spread over the lane by fill = 2**b - 1
+    and masked by the packed moduli, is n_i in those lanes and 0 elsewhere.
+    The fused operations are neg(add(.)) and neg(dbl(.)).
     """
 
-    __slots__ = ("n", "width", "base", "_moduli", "_bias", "_high", "_shift")
+    __slots__ = ("moduli", "width", "_moduli", "_bias", "_high", "_shift", "_fill")
 
     identity = 0
 
-    def __init__(self, n: int) -> None:
-        b = (2 * n - 1).bit_length() + 1
-        ones = sum(1 << (b * i) for i in range(n))
-        self.n, self.width, self._shift = n, b, b - 1
-        self.base = self.pack(range(n))
-        self._moduli = n * ones
-        self._bias = ((1 << (b - 1)) - n) * ones
+    def __init__(self, moduli: Iterable[int]) -> None:
+        self.moduli = tuple(moduli)
+        b = (2 * max(self.moduli) - 1).bit_length() + 1
+        ones = sum(1 << (b * i) for i in range(len(self.moduli)))
+        self.width, self._shift, self._fill = b, b - 1, (1 << b) - 1
+        self._moduli = self.pack(self.moduli)
+        self._bias = (ones << (b - 1)) - self._moduli
         self._high = ones << (b - 1)
 
     def pack(self, residues: Iterable[int]) -> int:
-        """The element whose lane i holds residues[i], each in [0, n)."""
+        """The element whose lane i holds residues[i], each in [0, moduli[i])."""
         b = self.width
         return sum(r << (b * i) for i, r in enumerate(residues))
 
-    def lane(self, element: int, i: int) -> int:
-        return (element >> (self.width * i)) & ((1 << self.width) - 1)
+    def unpack(self, element: int) -> list[int]:
+        """The residue in each lane of element, lane 0 first."""
+        b, mask = self.width, self._fill
+        return [(element >> (b * i)) & mask for i in range(len(self.moduli))]
 
     def add(self, a: int, c: int) -> int:
         t = a + c
-        return t - (((t + self._bias) & self._high) >> self._shift) * self.n
+        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
 
     def dbl(self, a: int) -> int:
         t = a << 1
-        return t - (((t + self._bias) & self._high) >> self._shift) * self.n
+        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
 
     def neg(self, a: int) -> int:
         t = self._moduli - a
-        return t - (((t + self._bias) & self._high) >> self._shift) * self.n
+        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
 
     def neg_add(self, a: int, c: int) -> int:
-        bias, high, shift, n = self._bias, self._high, self._shift, self.n
+        bias, high, shift, fill, moduli = self._bias, self._high, self._shift, self._fill, self._moduli
         t = a + c
-        t = self._moduli - t + (((t + bias) & high) >> shift) * n
-        return t - (((t + bias) & high) >> shift) * n
+        t = moduli - t + ((((t + bias) & high) >> shift) * fill & moduli)
+        return t - ((((t + bias) & high) >> shift) * fill & moduli)
 
     def neg_dbl(self, a: int) -> int:
-        bias, high, shift, n = self._bias, self._high, self._shift, self.n
+        bias, high, shift, fill, moduli = self._bias, self._high, self._shift, self._fill, self._moduli
         t = a << 1
-        t = self._moduli - t + (((t + bias) & high) >> shift) * n
-        return t - (((t + bias) & high) >> shift) * n
+        t = moduli - t + ((((t + bias) & high) >> shift) * fill & moduli)
+        return t - ((((t + bias) & high) >> shift) * fill & moduli)
 
     def __repr__(self) -> str:
-        return f"_Lanes({self.n})"
+        return f"_Lanes({self.moduli!r})"
 
 
 def default_verify_algorithms() -> dict[str, Driver]:
@@ -140,13 +144,17 @@ def verify_universal_agreement(
     Covers every prime n <= max_n from VERIFY_PRIMES, every base element D
     in Z/n, and every scalar m below multiplier * n. Returns the number of
     products checked and the mismatches found (capped at MAX_MISMATCHES).
-    max_n, an int in [MIN_VERIFY_N, MAX_VERIFY_N], and multiplier, a positive
-    int, are checked before anything runs.
+    max_n, an int in [MIN_VERIFY_N, MAX_VERIFY_N], multiplier, a positive
+    int, and algorithms, which must hold at least one driver, are checked
+    before anything runs.
 
-    Each driver runs once per (n, m), on the packed base of _Lanes(n). When
-    a run's product differs from the packed expected vector, its lanes are
-    compared one by one in (D, driver) order, so the products counted and
-    the mismatches listed are those of one run per (n, m, D, driver).
+    Each driver runs once per m, on the packed base of one _Lanes that holds
+    every modulus n with m < multiplier * n side by side, n lanes each. When
+    a run's product differs from the packed expected vector, each modulus's
+    lanes are compared one by one in (D, driver) order into a tally of its
+    own; the tallies are merged in modulus order, so the products counted
+    and the mismatches listed are those of one run per (n, m, D, driver)
+    taken modulus by modulus.
     """
     for name, value in (("max_n", max_n), ("multiplier", multiplier)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -156,25 +164,55 @@ def verify_universal_agreement(
     if multiplier < 1:
         raise ValueError(f"multiplier must be positive, got {multiplier}")
     algs = dict(algorithms) if algorithms is not None else default_verify_algorithms()
+    if not algs:
+        raise ValueError("algorithms must hold at least one driver, got none")
     names, drives = list(algs), list(algs.values())
-    checked = 0
-    mismatches: list[Mismatch] = []
-    for n in (p for p in VERIFY_PRIMES if p <= max_n):
-        group = _Lanes(n)
-        base = group.base
-        for m in range(multiplier * n):
-            residues = [(m * D) % n for D in range(n)]
+    primes = [p for p in VERIFY_PRIMES if p <= max_n]
+    # per modulus: products checked, and each mismatch with the count at it;
+    # a modulus stops at its MAX_MISMATCHES-th, where the merge returns at the latest
+    checked = dict.fromkeys(primes, 0)
+    found: dict[int, list[tuple[int, Mismatch]]] = {n: [] for n in primes}
+    start = 0
+    for i, smallest in enumerate(primes):
+        # the live moduli are those with m < multiplier * n, so the smallest
+        # drops out first; those below smallest are done and smallest's tally
+        # only grows, so once they hold the cap no later run changes the result
+        settled = primes[: i + 1]
+        if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
+            break
+        live = primes[i:]
+        group = _Lanes([n for n in live for _ in range(n)])
+        bases = [D for n in live for D in range(n)]
+        base = group.pack(bases)
+        stop = multiplier * smallest
+        for m in range(start, stop):
+            residues = [(m * D) % n for n, D in zip(group.moduli, bases)]
             expected = group.pack(residues)
             products = [drive(m, base, group) for drive in drives]
             if products.count(expected) == len(products):
-                checked += n * len(products)
+                for n in live:
+                    checked[n] += n * len(products)
                 continue
-            for D, want in enumerate(residues):
-                for name, product in zip(names, products):
-                    got = group.lane(product, D)
-                    checked += 1
+            # lane order is modulus order, then D: each lane's products in driver order
+            lanes = zip(group.moduli, bases, residues, zip(*map(group.unpack, products)))
+            for n, D, want, column in lanes:
+                tally = found[n]
+                for name, got in zip(names, column):
+                    if len(tally) == MAX_MISMATCHES:
+                        break
+                    checked[n] += 1
                     if got != want:
-                        mismatches.append(Mismatch(n, D, m, name, got, want))
-                        if len(mismatches) >= MAX_MISMATCHES:
-                            return checked, mismatches
-    return checked, mismatches
+                        tally.append((checked[n], Mismatch(n, D, m, name, got, want)))
+            if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
+                break
+        start = stop
+    # the tallies taken modulus by modulus, up to the MAX_MISMATCHES-th mismatch
+    total = 0
+    mismatches: list[Mismatch] = []
+    for n in primes:
+        for at, mismatch in found[n]:
+            mismatches.append(mismatch)
+            if len(mismatches) == MAX_MISMATCHES:
+                return total + at, mismatches
+        total += checked[n]
+    return total, mismatches

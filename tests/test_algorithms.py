@@ -451,6 +451,16 @@ def test_ledger_counts_equal_the_group_calls_made_for_large_scalars(run, m):
     assert_contract(*run, m)
 
 
+# the widths the twin above leaves out, whose tables hold up to 2**14 entries
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    run=st.sampled_from([run for run in CONTRACT_RUNS if run[2] >= 7]),
+    m=st.integers(-(1 << 4096) + 1, (1 << 4096) - 1),
+)
+def test_ledger_counts_equal_the_group_calls_made_for_large_scalars_at_wide_widths(run, m):
+    assert_contract(*run, m)
+
+
 def test_table_ledger_equals_the_calls_that_build_the_table():
     # every table bound a width gives, and the small ones, even included, that
     # the baseline takes from an expansion's digit_bound; the table built alone
@@ -570,18 +580,23 @@ def test_verify_reports_concrete_counterexample():
     assert (first.m * first.D) % first.n == first.expected
 
 
-@pytest.mark.parametrize("max_n", VERIFY_PRIMES)
-def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
+def _defaults_with_one_wrong_at_22():
+    """The default drivers with a neg driver that negates its product at m = 22
+    placed between them, so that the (D, driver) order shows."""
     defaults = default_verify_algorithms()
 
     def wrong_at_22(m, D, group):
         E = defaults["neg"](m, D, group)
         return group.neg(E) if m == 22 else E
 
+    return dict(list(defaults.items())[:3]) | {"wrong-at-22": wrong_at_22} | defaults
+
+
+@pytest.mark.parametrize("max_n", VERIFY_PRIMES)
+def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
     # m = 22 lies beyond n = 5's scalars (m < 20) and is 0 mod 11, so its
-    # mismatches are D = 1..6 for n = 7, then the cap is reached within n = 31;
-    # the wrong driver sits between the defaults, so the (D, driver) order shows
-    mixed = dict(list(defaults.items())[:3]) | {"wrong-at-22": wrong_at_22} | defaults
+    # mismatches are D = 1..6 for n = 7, then the cap is reached within n = 31
+    mixed = _defaults_with_one_wrong_at_22()
     found = {5: 0, 7: 6, 11: 6}.get(max_n, MAX_MISMATCHES)
     for algorithms, found in (({"bad": _wrong_start_parity}, MAX_MISMATCHES), (mixed, found)):
         got = verify_universal_agreement(max_n, algorithms=algorithms)
@@ -589,41 +604,81 @@ def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
         assert len(got[1]) == found
 
 
-def _assert_lanes_agree(n, xs, ys):
-    """Every lane op on the packed xs (and ys) equals ModularGroup(n)'s op lane by lane."""
-    lanes, group = _Lanes(n), ModularGroup(n)
+@pytest.mark.parametrize("multiplier", (1, 2, 16))
+def test_verify_merges_moduli_that_drop_out_in_order(multiplier):
+    # at m = 22 the live moduli are 31 alone for multipliers 1 and 2, and every
+    # modulus up to 31 for 16, whose tallies are made side by side
+    for algorithms in ({"bad": _wrong_start_parity}, _defaults_with_one_wrong_at_22()):
+        got = verify_universal_agreement(31, multiplier, algorithms)
+        assert got == reference_verify(31, multiplier, algorithms)
+        assert len(got[1]) == MAX_MISMATCHES
+    # the sweep stops once the mismatches listed are settled: the wrong-start
+    # driver's tenth lies in n = 5, the first modulus, at the last m run
+    scalars = []
+
+    def bad(m, D, group):
+        scalars.append(m)
+        return _wrong_start_parity(m, D, group)
+
+    got = verify_universal_agreement(31, multiplier, {"bad": bad})
+    assert scalars == list(range(got[1][-1].m + 1))
+    assert got[1][-1].n == 5
+
+
+def _assert_lanes_agree(moduli, xs, ys):
+    """Every lane op on the packed xs (and ys) equals ModularGroup(moduli[i])'s op in lane i."""
+    lanes = _Lanes(moduli)
     a, c = lanes.pack(xs), lanes.pack(ys)
     for kind in ("add", "neg_add", "dbl", "neg", "neg_dbl"):
         binary = kind.endswith("add")
+        want = []
+        for n, x, y in zip(moduli, xs, ys):
+            op = getattr(ModularGroup(n), kind)
+            want.append(op(x, y) if binary else op(x))
         got = getattr(lanes, kind)(a, c) if binary else getattr(lanes, kind)(a)
-        op = getattr(group, kind)
-        want = [op(x, y) for x, y in zip(xs, ys)] if binary else [op(x) for x in xs]
-        assert [lanes.lane(got, i) for i in range(n)] == want, (kind, xs, ys)
+        assert lanes.unpack(got) == want, (kind, xs, ys)
         assert got == lanes.pack(want), (kind, xs, ys)
 
 
-@pytest.mark.parametrize("n", (5, 7, 11))
-def test_lane_ops_agree_with_modular_ops_on_every_residue_pair(n):
-    lanes = _Lanes(n)
-    assert 2 ** (lanes.width - 2) < 2 * n <= 2 ** (lanes.width - 1)
+def _moduli_id(moduli):
+    return "-".join(map(str, moduli))
+
+
+def _bases(moduli):
+    """Each modulus's lanes, holding 0 .. n - 1, laid end to end as verify does."""
+    return [n for n in moduli for _ in range(n)], [D for n in moduli for D in range(n)]
+
+
+@pytest.mark.parametrize("moduli", ((5,), (7,), (11,), (5, 7, 11), VERIFY_PRIMES), ids=_moduli_id)
+def test_lane_ops_agree_with_modular_ops_on_every_residue_pair(moduli):
+    lane_moduli, bases = _bases(moduli)
+    lanes = _Lanes(lane_moduli)
+    assert lanes.moduli == tuple(lane_moduli)
+    assert 2 ** (lanes.width - 2) < 2 * max(moduli) <= 2 ** (lanes.width - 1)
     assert lanes.identity == 0
-    assert [lanes.lane(lanes.base, D) for D in range(n)] == list(range(n))
-    for x in range(n):
-        _assert_lanes_agree(n, [x] * n, list(range(n)))
+    assert lanes.unpack(lanes.pack(bases)) == bases
+    # lane i meets x mod n_i for every x below the largest modulus, and the
+    # bases hold every y below n_i: each modulus sees every residue pair
+    for x in range(max(moduli)):
+        _assert_lanes_agree(lane_moduli, [x % n for n in lane_moduli], bases)
 
 
-@pytest.mark.parametrize("n", (31, 97))
-def test_lane_ops_agree_with_modular_ops_on_seeded_vectors(n):
-    rng = random.Random(n)
-    vectors = [[0] * n, [n - 1] * n]
+@pytest.mark.parametrize("moduli", ((31,), (97,), VERIFY_PRIMES), ids=_moduli_id)
+def test_lane_ops_agree_with_modular_ops_on_seeded_vectors(moduli):
+    lane_moduli, _ = _bases(moduli)
+    rng = random.Random(sum(moduli))
+    vectors = [[0] * len(lane_moduli), [n - 1 for n in lane_moduli]]
     for _ in range(20):
-        v = [rng.randrange(n) for _ in range(n)]
-        low, high = rng.sample(range(n), 2)
-        v[low], v[high] = 0, n - 1
+        v = [rng.randrange(n) for n in lane_moduli]
+        offset = 0
+        for n in moduli:
+            low, high = rng.sample(range(offset, offset + n), 2)
+            v[low], v[high] = 0, n - 1
+            offset += n
         vectors.append(v)
     for xs in vectors:
         for ys in vectors:
-            _assert_lanes_agree(n, xs, ys)
+            _assert_lanes_agree(lane_moduli, xs, ys)
 
 
 def test_verify_validates_arguments():
@@ -632,6 +687,8 @@ def test_verify_validates_arguments():
             verify_universal_agreement(max_n=max_n)
     with pytest.raises(ValueError, match="multiplier"):
         verify_universal_agreement(max_n=5, multiplier=0)
+    with pytest.raises(ValueError, match="^algorithms must hold at least one driver, got none$"):
+        verify_universal_agreement(5, algorithms={})
     for bad in (True, False, 5.0, 11.5, "11", None):
         with pytest.raises(ValueError, match=f"^max_n must be an integer, got {bad!r}$"):
             verify_universal_agreement(max_n=bad)

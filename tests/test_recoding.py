@@ -12,6 +12,9 @@ from negmul.recoding import MAX_WIDTH, MIN_WIDTH
 from oracles import min_window_weight, nonadjacent_expansions, reference_width_w_naf
 
 WIDTHS = range(MIN_WIDTH, MAX_WIDTH + 1)
+_rng = random.Random(2003)
+# the contract sweep's seeded scalars (tests/test_algorithms.py)
+SEEDED_4096 = [_rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
 
 
 def has_adjacent_nonzeros(digits):
@@ -244,6 +247,14 @@ def test_expansion_validation():
     for digits, bound, message in cases:
         with pytest.raises(ValueError, match=message):
             SignedExpansion(digits, bound)
+
+
+def test_every_recoding_passes_the_public_checks():
+    # the recodings build their results without SignedExpansion's checks, so
+    # each is rebuilt here through SignedExpansion(...), which runs them all
+    for m in (*range(1 << 12), *SEEDED_4096):
+        for e in (binary_expansion(m), naf(m), *(width_w_naf(m, w) for w in WIDTHS)):
+            assert SignedExpansion(e.digits, e.digit_bound) == e, (m, e)
 
 
 def test_expansion_accepts_list_input():
