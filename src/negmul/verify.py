@@ -1,17 +1,18 @@
 """Exhaustive agreement checking of every driver against modular arithmetic.
 
-For each scalar m, every driver runs once, in one lane group that holds every
-modulus n still live at m (those with m < multiplier * n) side by side: one
-int holds n residues of Z/n per live n, and the base passed in packs each
-live n's (0, 1, ..., n - 1) end to end. No driver reads an element, so each
-lane of the product is the residue the same driver makes from that lane's
-base D in Z/n, and one run checks every live (n, D) against (m * D) mod n.
+Every driver runs once per scalar m, in the group Z from base 1, which gives
+an integer coefficient c. For each modulus n and base D in Z/n, k -> k * D mod n
+maps Z into Z/n and keeps every group operation (add, dbl, neg, neg_add,
+neg_dbl) and the identity. No driver reads an element, so the same driver
+run on base D in Z/n returns (c * D) mod n, and one run per m checks every
+live (n, D) against (m * D) mod n.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+import operator
+from functools import lru_cache, partial
+from typing import Callable, Mapping, NamedTuple
 
 from .algorithms import ALGORITHMS
 from .groups import NegationAwareGroup
@@ -27,9 +28,10 @@ VERIFY_WIDTHS = (2, 3, 4)
 
 MAX_MISMATCHES = 10
 
-# (m, D, group) -> m * D in group. verify passes a lane group and its packed
-# base vector, so a driver must treat elements as opaque: pass them to the
-# group's operations and return one, never read, compare or build one.
+# (m, D, group) -> m * D in group. verify passes the integers and D = 1, and
+# maps the result into every Z/n, so a driver must treat elements as opaque:
+# pass them to the group's operations and return one, never read, compare or
+# build one.
 Driver = Callable[[int, int, NegationAwareGroup], int]
 
 
@@ -42,68 +44,23 @@ class Mismatch(NamedTuple):
     expected: int
 
 
-class _Lanes(NegationAwareGroup):
-    """A product of groups Z/n_i as one int: lane i, at bit b * i, is Z/moduli[i].
+class _Integers(NegationAwareGroup):
+    """The group Z. Every operation but neg_add is a C builtin, so it costs no Python frame."""
 
-    b is the least width with 2**(b - 1) >= 2 * max(moduli), so a lane holding
-    the sum of two residues stays below bit b - 1 and never carries into the
-    next lane. Each operation adds, subtracts or shifts, then reduces every
-    lane from [0, 2n_i) to [0, n_i) without a branch: adding
-    bias_i = 2**(b - 1) - n_i to lane i sets its bit b - 1 exactly when the
-    lane is at or above n_i; that bit, spread over the lane by fill = 2**b - 1
-    and masked by the packed moduli, is n_i in those lanes and 0 elsewhere.
-    The fused operations are neg(add(.)) and neg(dbl(.)).
-    """
-
-    __slots__ = ("moduli", "width", "_moduli", "_bias", "_high", "_shift", "_fill")
+    __slots__ = ()
 
     identity = 0
+    add, neg = operator.add, operator.neg
+    # staticmethod: from Python 3.14 on, a partial stored on a class binds self
+    dbl = staticmethod(partial(operator.mul, 2))
+    neg_dbl = staticmethod(partial(operator.mul, -2))
 
-    def __init__(self, moduli: Iterable[int]) -> None:
-        self.moduli = tuple(moduli)
-        b = (2 * max(self.moduli) - 1).bit_length() + 1
-        ones = sum(1 << (b * i) for i in range(len(self.moduli)))
-        self.width, self._shift, self._fill = b, b - 1, (1 << b) - 1
-        self._moduli = self.pack(self.moduli)
-        self._bias = (ones << (b - 1)) - self._moduli
-        self._high = ones << (b - 1)
+    @staticmethod
+    def neg_add(a: int, b: int) -> int:
+        return -(a + b)
 
-    def pack(self, residues: Iterable[int]) -> int:
-        """The element whose lane i holds residues[i], each in [0, moduli[i])."""
-        b = self.width
-        return sum(r << (b * i) for i, r in enumerate(residues))
 
-    def unpack(self, element: int) -> list[int]:
-        """The residue in each lane of element, lane 0 first."""
-        b, mask = self.width, self._fill
-        return [(element >> (b * i)) & mask for i in range(len(self.moduli))]
-
-    def add(self, a: int, c: int) -> int:
-        t = a + c
-        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
-
-    def dbl(self, a: int) -> int:
-        t = a << 1
-        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
-
-    def neg(self, a: int) -> int:
-        t = self._moduli - a
-        return t - ((((t + self._bias) & self._high) >> self._shift) * self._fill & self._moduli)
-
-    def neg_add(self, a: int, c: int) -> int:
-        bias, high, shift, fill, moduli = self._bias, self._high, self._shift, self._fill, self._moduli
-        t = a + c
-        t = moduli - t + ((((t + bias) & high) >> shift) * fill & moduli)
-        return t - ((((t + bias) & high) >> shift) * fill & moduli)
-
-    def neg_dbl(self, a: int) -> int:
-        bias, high, shift, fill, moduli = self._bias, self._high, self._shift, self._fill, self._moduli
-        t = a << 1
-        t = moduli - t + ((((t + bias) & high) >> shift) * fill & moduli)
-        return t - ((((t + bias) & high) >> shift) * fill & moduli)
-
-    def __repr__(self) -> str:
-        return f"_Lanes({self.moduli!r})"
+_INTEGERS = _Integers()
 
 
 def default_verify_algorithms() -> dict[str, Driver]:
@@ -148,13 +105,13 @@ def verify_universal_agreement(
     int, and algorithms, which must hold at least one driver, are checked
     before anything runs.
 
-    Each driver runs once per m, on the packed base of one _Lanes that holds
-    every modulus n with m < multiplier * n side by side, n lanes each. When
-    a run's product differs from the packed expected vector, each modulus's
-    lanes are compared one by one in (D, driver) order into a tally of its
-    own; the tallies are merged in modulus order, so the products counted
-    and the mismatches listed are those of one run per (n, m, D, driver)
-    taken modulus by modulus.
+    Each driver runs once per m, in Z from base 1, and its coefficient c
+    gives its product (c * D) mod n for every modulus n with m < multiplier * n
+    and every D. When every c equals m, each of those moduli adds n x drivers
+    to its tally; otherwise each modulus's products are compared in
+    (D, driver) order into a tally of its own. The tallies are merged in
+    modulus order, so the products counted and the mismatches listed are
+    those of one run per (n, m, D, driver) taken modulus by modulus.
     """
     for name, value in (("max_n", max_n), ("multiplier", multiplier)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -181,28 +138,24 @@ def verify_universal_agreement(
         if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
             break
         live = primes[i:]
-        group = _Lanes([n for n in live for _ in range(n)])
-        bases = [D for n in live for D in range(n)]
-        base = group.pack(bases)
         stop = multiplier * smallest
         for m in range(start, stop):
-            residues = [(m * D) % n for n, D in zip(group.moduli, bases)]
-            expected = group.pack(residues)
-            products = [drive(m, base, group) for drive in drives]
-            if products.count(expected) == len(products):
+            coefficients = [drive(m, 1, _INTEGERS) for drive in drives]
+            if coefficients.count(m) == len(coefficients):
                 for n in live:
-                    checked[n] += n * len(products)
+                    checked[n] += n * len(coefficients)
                 continue
-            # lane order is modulus order, then D: each lane's products in driver order
-            lanes = zip(group.moduli, bases, residues, zip(*map(group.unpack, products)))
-            for n, D, want, column in lanes:
+            for n in live:
                 tally = found[n]
-                for name, got in zip(names, column):
-                    if len(tally) == MAX_MISMATCHES:
-                        break
-                    checked[n] += 1
-                    if got != want:
-                        tally.append((checked[n], Mismatch(n, D, m, name, got, want)))
+                for D in range(n):
+                    want = m * D % n
+                    for name, c in zip(names, coefficients):
+                        if len(tally) == MAX_MISMATCHES:
+                            break
+                        checked[n] += 1
+                        got = c * D % n
+                        if got != want:
+                            tally.append((checked[n], Mismatch(n, D, m, name, got, want)))
             if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
                 break
         start = stop

@@ -35,7 +35,7 @@ from negmul import algorithms
 from negmul.algorithms import _odd_multiples
 from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
-from negmul.verify import MAX_MISMATCHES, VERIFY_PRIMES, _Lanes, default_verify_algorithms
+from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
 from oracles import FreeGroup, Opaque, reference_verify, walk_sign_invariant
 
@@ -592,13 +592,31 @@ def _defaults_with_one_wrong_at_22():
     return dict(list(defaults.items())[:3]) | {"wrong-at-22": wrong_at_22} | defaults
 
 
+def _off_by_385_at_19():
+    """The neg driver, computing (m + 385) * D at m = 19 and m * D elsewhere."""
+    neg = default_verify_algorithms()["neg"]
+
+    def off_by_385(m, D, group):
+        return neg(m + 385 if m == 19 else m, D, group)
+
+    return {"off-by-385": off_by_385}
+
+
 @pytest.mark.parametrize("max_n", VERIFY_PRIMES)
 def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
     # m = 22 lies beyond n = 5's scalars (m < 20) and is 0 mod 11, so its
     # mismatches are D = 1..6 for n = 7, then the cap is reached within n = 31
     mixed = _defaults_with_one_wrong_at_22()
     found = {5: 0, 7: 6, 11: 6}.get(max_n, MAX_MISMATCHES)
-    for algorithms, found in (({"bad": _wrong_start_parity}, MAX_MISMATCHES), (mixed, found)):
+    # 385 = 5 * 7 * 11, so at m = 19, where every modulus is live, the
+    # product is right mod 5, 7 and 11 and wrong mod 31 and 97
+    off = _off_by_385_at_19()
+    off_found = MAX_MISMATCHES if max_n > 11 else 0
+    for algorithms, found in (
+        ({"bad": _wrong_start_parity}, MAX_MISMATCHES),
+        (mixed, found),
+        (off, off_found),
+    ):
         got = verify_universal_agreement(max_n, algorithms=algorithms)
         assert got == reference_verify(max_n, 4, algorithms)
         assert len(got[1]) == found
@@ -625,60 +643,22 @@ def test_verify_merges_moduli_that_drop_out_in_order(multiplier):
     assert got[1][-1].n == 5
 
 
-def _assert_lanes_agree(moduli, xs, ys):
-    """Every lane op on the packed xs (and ys) equals ModularGroup(moduli[i])'s op in lane i."""
-    lanes = _Lanes(moduli)
-    a, c = lanes.pack(xs), lanes.pack(ys)
-    for kind in ("add", "neg_add", "dbl", "neg", "neg_dbl"):
-        binary = kind.endswith("add")
-        want = []
-        for n, x, y in zip(moduli, xs, ys):
-            op = getattr(ModularGroup(n), kind)
-            want.append(op(x, y) if binary else op(x))
-        got = getattr(lanes, kind)(a, c) if binary else getattr(lanes, kind)(a)
-        assert lanes.unpack(got) == want, (kind, xs, ys)
-        assert got == lanes.pack(want), (kind, xs, ys)
-
-
-def _moduli_id(moduli):
-    return "-".join(map(str, moduli))
-
-
-def _bases(moduli):
-    """Each modulus's lanes, holding 0 .. n - 1, laid end to end as verify does."""
-    return [n for n in moduli for _ in range(n)], [D for n in moduli for D in range(n)]
-
-
-@pytest.mark.parametrize("moduli", ((5,), (7,), (11,), (5, 7, 11), VERIFY_PRIMES), ids=_moduli_id)
-def test_lane_ops_agree_with_modular_ops_on_every_residue_pair(moduli):
-    lane_moduli, bases = _bases(moduli)
-    lanes = _Lanes(lane_moduli)
-    assert lanes.moduli == tuple(lane_moduli)
-    assert 2 ** (lanes.width - 2) < 2 * max(moduli) <= 2 ** (lanes.width - 1)
-    assert lanes.identity == 0
-    assert lanes.unpack(lanes.pack(bases)) == bases
-    # lane i meets x mod n_i for every x below the largest modulus, and the
-    # bases hold every y below n_i: each modulus sees every residue pair
-    for x in range(max(moduli)):
-        _assert_lanes_agree(lane_moduli, [x % n for n in lane_moduli], bases)
-
-
-@pytest.mark.parametrize("moduli", ((31,), (97,), VERIFY_PRIMES), ids=_moduli_id)
-def test_lane_ops_agree_with_modular_ops_on_seeded_vectors(moduli):
-    lane_moduli, _ = _bases(moduli)
-    rng = random.Random(sum(moduli))
-    vectors = [[0] * len(lane_moduli), [n - 1 for n in lane_moduli]]
-    for _ in range(20):
-        v = [rng.randrange(n) for n in lane_moduli]
-        offset = 0
-        for n in moduli:
-            low, high = rng.sample(range(offset, offset + n), 2)
-            v[low], v[high] = 0, n - 1
-            offset += n
-        vectors.append(v)
-    for xs in vectors:
-        for ys in vectors:
-            _assert_lanes_agree(lane_moduli, xs, ys)
+@pytest.mark.parametrize("n", VERIFY_PRIMES)
+def test_integer_ops_map_onto_modular_ops(n):
+    # k -> k mod n keeps every op verify's integers make, so a coefficient
+    # computed in Z gives the product in Z/n
+    g = ModularGroup(n)
+    assert _INTEGERS.identity % n == g.identity
+    values = range(-2 * n, 2 * n + 1)
+    for kind in ("add", "neg_add"):
+        z, mod = getattr(_INTEGERS, kind), getattr(g, kind)
+        for a in values:
+            for b in values:
+                assert z(a, b) % n == mod(a % n, b % n), (kind, a, b)
+    for kind in ("dbl", "neg", "neg_dbl"):
+        z, mod = getattr(_INTEGERS, kind), getattr(g, kind)
+        for a in values:
+            assert z(a) % n == mod(a % n), (kind, a)
 
 
 def test_verify_validates_arguments():
