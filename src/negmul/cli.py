@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 
 from .algorithms import ALGORITHM_IDS, ALGORITHMS, scalar_mul
 from .backends import PRESETS, ModularGroup, load_profile, preset
@@ -190,9 +191,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing never changes a parser (each call gets a fresh Namespace, and
+    # argparse reads stderr and the terminal width only when it prints), so
+    # repeated main() calls in one process share the one parser.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -335,6 +336,63 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def call_main(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process main(argv) call."""
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    round_ = (
+        ["recode", "3", "naf"],
+        ["mul", "--n", "101", "--scalar", "-17", "--algo", "neg"],
+        ["verify", "--max-n", "5"],
+        ["bench", "picard", "--bits", "16", "--samples", "2", "--format", "json"],
+    )
+    call_main(capsys, round_[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [call_main(capsys, argv)[0] for argv in round_] == [0, 0, 0, 0]
+    assert built == []
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second and len(built) == 10  # a top-level and four subcommand parsers each
+
+
+def subcommand_parsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_calls_through_the_shared_parser_carry_no_state(capsys):
+    round_ = (
+        ["bench", "picard", "--sqr-per-mul", "1/0"],
+        ["mul", "--n", "101", "--scalar", "17", "--algo", "neg", "--form", "wnaf"],
+        ["frobnicate"],
+        ["mul", "--n", "101", "--scalar", "-0x11", "--algo", "neg"],
+        ["recode", "0xffff", "wnaf", "--width", "4"],
+        ["verify", "--max-n", "5"],
+    )
+    first = [call_main(capsys, argv) for argv in round_]
+    assert [rc for rc, _, _ in first] == [2, 2, 2, 0, 0, 0]
+    assert [call_main(capsys, argv) for argv in round_] == first
+    shared, fresh = cli._parser(), cli.build_parser()
+    assert shared.format_help() == fresh.format_help()
+    used, new = subcommand_parsers(shared), subcommand_parsers(fresh)
+    assert list(used) == list(new) == ["recode", "mul", "verify", "bench"]
+    for name in new:
+        assert used[name].format_help() == new[name].format_help()
 
 
 # Start-up cost: building the parser must not import these heavy modules
