@@ -5,7 +5,7 @@ an integer coefficient c. For each modulus n and base D in Z/n, k -> k * D mod n
 maps Z into Z/n and keeps every group operation (add, dbl, neg, neg_add,
 neg_dbl) and the identity. No driver reads an element, so the same driver
 run on base D in Z/n returns (c * D) mod n, and one run per m checks every
-live (n, D) against (m * D) mod n.
+(n, D) against (m * D) mod n.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ def default_verify_algorithms() -> dict[str, Driver]:
     """Drivers keyed by id, each mapping (m, D, group) to the computed product.
 
     Every ALGORITHMS id runs on its default recoding, the windowed one once
-    per width in VERIFY_WIDTHS. Recodings are cached across calls, so
-    exhaustive sweeps recode each scalar once per form no matter how many
-    moduli they cover.
+    per width in VERIFY_WIDTHS. Recodings are cached, so the drivers on the
+    same form and width share one recoding of each scalar.
     """
     recode_of = lru_cache(maxsize=None)(recode)
 
@@ -105,13 +104,8 @@ def verify_universal_agreement(
     int, and algorithms, which must hold at least one driver, are checked
     before anything runs.
 
-    Each driver runs once per m, in Z from base 1, and its coefficient c
-    gives its product (c * D) mod n for every modulus n with m < multiplier * n
-    and every D. When every c equals m, each of those moduli adds n x drivers
-    to its tally; otherwise each modulus's products are compared in
-    (D, driver) order into a tally of its own. The tallies are merged in
-    modulus order, so the products counted and the mismatches listed are
-    those of one run per (n, m, D, driver) taken modulus by modulus.
+    The sweep goes modulus by modulus, m ascending. Each driver runs once per
+    m, in Z from base 1, and its coefficient c gives every product (c * D) mod n.
     """
     for name, value in (("max_n", max_n), ("multiplier", multiplier)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -124,48 +118,24 @@ def verify_universal_agreement(
     if not algs:
         raise ValueError("algorithms must hold at least one driver, got none")
     names, drives = list(algs), list(algs.values())
-    primes = [p for p in VERIFY_PRIMES if p <= max_n]
-    # per modulus: products checked, and each mismatch with the count at it;
-    # a modulus stops at its MAX_MISMATCHES-th, where the merge returns at the latest
-    checked = dict.fromkeys(primes, 0)
-    found: dict[int, list[tuple[int, Mismatch]]] = {n: [] for n in primes}
-    start = 0
-    for i, smallest in enumerate(primes):
-        # the live moduli are those with m < multiplier * n, so the smallest
-        # drops out first; those below smallest are done and smallest's tally
-        # only grows, so once they hold the cap no later run changes the result
-        settled = primes[: i + 1]
-        if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
-            break
-        live = primes[i:]
-        stop = multiplier * smallest
-        for m in range(start, stop):
-            coefficients = [drive(m, 1, _INTEGERS) for drive in drives]
-            if coefficients.count(m) == len(coefficients):
-                for n in live:
-                    checked[n] += n * len(coefficients)
-                continue
-            for n in live:
-                tally = found[n]
-                for D in range(n):
-                    want = m * D % n
-                    for name, c in zip(names, coefficients):
-                        if len(tally) == MAX_MISMATCHES:
-                            break
-                        checked[n] += 1
-                        got = c * D % n
-                        if got != want:
-                            tally.append((checked[n], Mismatch(n, D, m, name, got, want)))
-            if sum(len(found[n]) for n in settled) >= MAX_MISMATCHES:
-                break
-        start = stop
-    # the tallies taken modulus by modulus, up to the MAX_MISMATCHES-th mismatch
-    total = 0
+    # runs[m]: every driver's coefficient at m, computed once for all moduli
+    runs: list[list[int]] = []
+    checked = 0
     mismatches: list[Mismatch] = []
-    for n in primes:
-        for at, mismatch in found[n]:
-            mismatches.append(mismatch)
-            if len(mismatches) == MAX_MISMATCHES:
-                return total + at, mismatches
-        total += checked[n]
-    return total, mismatches
+    for n in (p for p in VERIFY_PRIMES if p <= max_n):
+        for m in range(multiplier * n):
+            if m == len(runs):
+                runs.append([drive(m, 1, _INTEGERS) for drive in drives])
+            if runs[m].count(m) == len(drives):
+                checked += n * len(drives)
+                continue
+            for D in range(n):
+                want = m * D % n
+                for name, c in zip(names, runs[m]):
+                    checked += 1
+                    got = c * D % n
+                    if got != want:
+                        mismatches.append(Mismatch(n, D, m, name, got, want))
+                        if len(mismatches) == MAX_MISMATCHES:
+                            return checked, mismatches
+    return checked, mismatches

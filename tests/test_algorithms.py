@@ -602,14 +602,29 @@ def _off_by_385_at_19():
     return {"off-by-385": off_by_385}
 
 
+def _recorded(algorithms):
+    """algorithms with every driver wrapped to record, by id, the scalars it runs on."""
+    scalars = {name: [] for name in algorithms}
+
+    def recording(name, drive):
+        def run(m, D, group):
+            scalars[name].append(m)
+            return drive(m, D, group)
+
+        return run
+
+    return {name: recording(name, drive) for name, drive in algorithms.items()}, scalars
+
+
 @pytest.mark.parametrize("max_n", VERIFY_PRIMES)
 def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
     # m = 22 lies beyond n = 5's scalars (m < 20) and is 0 mod 11, so its
     # mismatches are D = 1..6 for n = 7, then the cap is reached within n = 31
     mixed = _defaults_with_one_wrong_at_22()
     found = {5: 0, 7: 6, 11: 6}.get(max_n, MAX_MISMATCHES)
-    # 385 = 5 * 7 * 11, so at m = 19, where every modulus is live, the
-    # product is right mod 5, 7 and 11 and wrong mod 31 and 97
+    # 385 = 5 * 7 * 11, so at m = 19, which every modulus reaches, the
+    # product is right mod 5, 7 and 11 and wrong mod 31 and 97, where the
+    # sweep reuses the coefficient computed for n = 5
     off = _off_by_385_at_19()
     off_found = MAX_MISMATCHES if max_n > 11 else 0
     for algorithms, found in (
@@ -617,30 +632,37 @@ def test_verify_counts_and_lists_what_one_run_per_base_does(max_n):
         (mixed, found),
         (off, off_found),
     ):
-        got = verify_universal_agreement(max_n, algorithms=algorithms)
+        recorded, scalars = _recorded(algorithms)
+        got = verify_universal_agreement(max_n, algorithms=recorded)
         assert got == reference_verify(max_n, 4, algorithms)
         assert len(got[1]) == found
+        # each driver runs at most once per scalar, in ascending order
+        for seen in scalars.values():
+            assert seen == list(range(len(seen)))
 
 
 @pytest.mark.parametrize("multiplier", (1, 2, 16))
 def test_verify_merges_moduli_that_drop_out_in_order(multiplier):
-    # at m = 22 the live moduli are 31 alone for multipliers 1 and 2, and every
-    # modulus up to 31 for 16, whose tallies are made side by side
+    # m = 22 lies below multiplier * n for n = 31 alone at multipliers 1 and 2,
+    # and for every modulus up to 31 at 16, where n = 5 computes its
+    # coefficients and 7, 11 and 31 reuse them
     for algorithms in ({"bad": _wrong_start_parity}, _defaults_with_one_wrong_at_22()):
         got = verify_universal_agreement(31, multiplier, algorithms)
         assert got == reference_verify(31, multiplier, algorithms)
         assert len(got[1]) == MAX_MISMATCHES
-    # the sweep stops once the mismatches listed are settled: the wrong-start
+    # the sweep stops at the MAX_MISMATCHES-th mismatch: the wrong-start
     # driver's tenth lies in n = 5, the first modulus, at the last m run
-    scalars = []
-
-    def bad(m, D, group):
-        scalars.append(m)
-        return _wrong_start_parity(m, D, group)
-
-    got = verify_universal_agreement(31, multiplier, {"bad": bad})
-    assert scalars == list(range(got[1][-1].m + 1))
+    bad, seen = _recorded({"bad": _wrong_start_parity})
+    got = verify_universal_agreement(31, multiplier, bad)
+    assert seen["bad"] == list(range(got[1][-1].m + 1))
     assert got[1][-1].n == 5
+    # a passing sweep runs each driver once per scalar below the largest
+    # modulus's bound, however many moduli reach that scalar
+    algorithms, seen = _recorded(default_verify_algorithms())
+    got = verify_universal_agreement(97, multiplier, algorithms)
+    assert got == (multiplier * sum(n * n for n in VERIFY_PRIMES) * len(algorithms), [])
+    for scalars in seen.values():
+        assert scalars == list(range(multiplier * 97))
 
 
 @pytest.mark.parametrize("n", VERIFY_PRIMES)
