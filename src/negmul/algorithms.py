@@ -131,16 +131,6 @@ _NO_OPS = (1, 1, False, False, False, True, None)
 # _new_result(MulResult, (element, shape, trace)) == MulResult(element, shape, trace)
 _new_result = tuple.__new__
 
-_EMPTY_EXPANSION = "empty expansion: map m = 0 to the identity before dispatching"
-
-
-def _require_unit_digits(e: SignedExpansion) -> None:
-    """Accept by the declared bound: bound 1 means digits in {-1, 0, 1} led by +1."""
-    if not e.digits:
-        raise ValueError(_EMPTY_EXPANSION)
-    if e.digit_bound != 1:
-        raise ValueError(f"digits must lie in {{-1, 0, 1}}, got digit_bound {e.digit_bound}")
-
 
 def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[int, Element]:
     """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
@@ -171,10 +161,11 @@ def _walk(
     lookahead: bool,
     table_bound: int | None = None,
 ) -> MulResult:
-    """The one left-to-right digit loop every driver runs; e must be nonempty.
+    """The one left-to-right digit loop every driver runs, and its one acceptance rule.
 
-    fuse_dbl / fuse_add pick the fused negate-double / negate-add, each of
-    which flips f. With lookahead the walk starts at
+    It refuses an empty e, and an e with digit_bound > (table_bound or 1),
+    before any group call. fuse_dbl / fuse_add pick the fused negate-double
+    / negate-add, each of which flips f. With lookahead the walk starts at
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
@@ -190,6 +181,10 @@ def _walk(
     steps are appended here. The group sees the same calls either way.
     """
     digits = e.digits
+    if not digits:
+        raise ValueError("empty expansion: map m = 0 to the identity before dispatching")
+    if e.digit_bound > (bound := table_bound or 1):
+        raise ValueError(f"digit_bound {e.digit_bound} exceeds the addend table's bound {bound}")
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
     if table_bound is not None:
@@ -294,7 +289,6 @@ def neg_scalar_mul(
     performs exactly length - 1 fused doubles and weight - 1 fused adds, on
     top of the single negation that stores -D.
     """
-    _require_unit_digits(e)
     return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=True)
 
 
@@ -312,7 +306,6 @@ def neg_scalar_mul_online(
     the end with one extra negation whenever the flag closes at 1, which
     happens for about half of all scalars.
     """
-    _require_unit_digits(e)
     return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False)
 
 
@@ -336,7 +329,6 @@ def mixed_scalar_mul(
     """
     if mode not in MIXED_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MIXED_MODES}")
-    _require_unit_digits(e)
     fuse_dbl = mode == "neg_doubling_only"
     return _walk(e, D, group, trace, fuse_dbl=fuse_dbl, fuse_add=not fuse_dbl, lookahead=True)
 
@@ -358,11 +350,7 @@ def windowed_neg_scalar_mul(
     is reported separately in table_ledger.
     """
     require_width(w)
-    if not e.digits:
-        raise ValueError(_EMPTY_EXPANSION)
     bound = (1 << (w - 1)) - 1
-    if e.digit_bound > bound:
-        raise ValueError(f"digit_bound {e.digit_bound} outside the width-{w} table range")
     return _walk(
         e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=bound
     )

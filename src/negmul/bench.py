@@ -191,6 +191,8 @@ def run_bench(
     """Run every applicable driver over a seeded sample and aggregate exact costs."""
     if form not in RECODING_FORMS:
         raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
+    if not isinstance(profile, CostProfile):
+        raise ValueError(f"profile must be a CostProfile, got {profile!r}")
     if not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
     scalars = sample_scalars(bits, samples, seed)

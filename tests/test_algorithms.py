@@ -117,7 +117,7 @@ def test_neg_scalar_mul_rejects_bad_expansions():
     for digits in ((3,), (1, 0, 0, 3), (1,), (1, 0, -1)):
         with pytest.raises(ValueError) as exc:
             neg_scalar_mul(SignedExpansion(digits, digit_bound=3), 1, g)
-        assert str(exc.value) == "digits must lie in {-1, 0, 1}, got digit_bound 3"
+        assert str(exc.value) == "digit_bound 3 exceeds the addend table's bound 1"
 
 
 def test_online_examples():
@@ -165,7 +165,7 @@ def test_windowed_examples():
     assert e.digit_bound == 15 and e.digits == (3,)
     with pytest.raises(ValueError) as exc:
         windowed_neg_scalar_mul(e, 1, ModularGroup(13), 3)
-    assert str(exc.value) == "digit_bound 15 outside the width-3 table range"
+    assert str(exc.value) == "digit_bound 15 exceeds the addend table's bound 3"
 
 
 def test_windowed_table_costs():
@@ -191,7 +191,7 @@ def test_windowed_matches_online_for_width_2():
 
 def test_windowed_rejects_bad_input():
     g = ModularGroup(13)
-    with pytest.raises(ValueError, match="outside the width-3 table"):
+    with pytest.raises(ValueError, match="exceeds the addend table's bound 3"):
         windowed_neg_scalar_mul(SignedExpansion((5,), digit_bound=7), 1, g, 3)
     with pytest.raises(ValueError, match="empty expansion"):
         windowed_neg_scalar_mul(SignedExpansion(()), 1, g, 3)
@@ -207,10 +207,30 @@ def test_drivers_accept_by_declared_digit_bound():
     table's, the four {-1, 0, 1} drivers refuse every digit_bound above 1, and
     the baseline refuses none. Each expansion width gets a scalar whose digits
     are all +-1, which fit every table, and two whose digits reach its bound.
+    Every driver but the baseline refuses the empty expansion, which the
+    baseline maps to the identity. A refusal comes before any group call.
     """
     n = 8191
     g = ModularGroup(n)
     unit_drivers = [algo for algo in ALGORITHMS if algo not in ("baseline", "window")]
+
+    def refusal(algo, e, w):
+        """The message of algo's refusal of e at width w, run in a FreeGroup it never calls."""
+        free = FreeGroup()
+        with pytest.raises(ValueError) as exc:
+            ALGORITHMS[algo].run(e, Opaque(1), free, w, False)
+        assert not any(free.calls.values()), (algo, e, w, free.calls)
+        return str(exc.value)
+
+    empty = SignedExpansion(())
+    free = FreeGroup()
+    assert double_and_add(empty, Opaque(1), free).element.coefficient == 0
+    assert not any(free.calls.values())
+    for w in range(MIN_WIDTH, MAX_WIDTH + 1):
+        for algo in ALGORITHMS.keys() - {"baseline"}:
+            assert refusal(algo, empty, w) == (
+                "empty expansion: map m = 0 to the identity before dispatching"
+            ), (algo, w)
     seen = set()
     for expansion_width in range(MIN_WIDTH, MAX_WIDTH + 1):
         half = 1 << (expansion_width - 1)
@@ -223,20 +243,16 @@ def test_drivers_accept_by_declared_digit_bound():
                 refused = e.digit_bound > table_bound
                 seen.add((widest <= table_bound, refused))
                 if refused:
-                    with pytest.raises(ValueError) as exc:
-                        windowed_neg_scalar_mul(e, 1, g, w)
-                    assert str(exc.value) == (
-                        f"digit_bound {e.digit_bound} outside the width-{w} table range"
+                    assert refusal("window", e, w) == (
+                        f"digit_bound {e.digit_bound} exceeds the addend table's bound {table_bound}"
                     )
                 else:
                     assert windowed_neg_scalar_mul(e, 1, g, w).element == m % n
             for algo in unit_drivers:
                 run = ALGORITHMS[algo].run
                 if e.digit_bound > 1:
-                    with pytest.raises(ValueError) as exc:
-                        run(e, 1, g, expansion_width, False)
-                    assert str(exc.value) == (
-                        f"digits must lie in {{-1, 0, 1}}, got digit_bound {e.digit_bound}"
+                    assert refusal(algo, e, expansion_width) == (
+                        f"digit_bound {e.digit_bound} exceeds the addend table's bound 1"
                     )
                 else:
                     assert run(e, 1, g, expansion_width, False).element == m % n

@@ -79,6 +79,12 @@ def test_run_bench_rejects_ratios_that_are_not_cost_ratios():
             run_bench(PICARD_PROFILE, bits=16, samples=2, ratios=bad)
 
 
+def test_run_bench_rejects_profiles_that_are_not_cost_profiles():
+    for bad in ("picard", None, tuple(PICARD_PROFILE)):
+        with pytest.raises(ValueError, match=f"^profile must be a CostProfile, got {re.escape(repr(bad))}$"):
+            run_bench(bad, bits=8, samples=2)
+
+
 def test_picard_bench_sanity():
     report = run_bench(PICARD_PROFILE, bits=64, samples=50, form="naf", seed=3)
     ids = [entry.algo_id for entry in report.algorithms]
