@@ -43,10 +43,12 @@ class MulResult(NamedTuple):
     """Product element, the shape of the run that produced it, and its trace.
 
     shape is walk_ledgers' arguments for the run. ledger counts the group
-    operations the run performed; table_ledger is the part of it spent
-    building the odd-multiples table, or None when the run was given no
-    table bound. Both are made from the shape by walk_ledgers on each read,
-    so every read is a fresh ledger and a charge to one does not persist.
+    operations a run from any base but the identity performs (an untraced
+    run from the identity makes none, see _walk); table_ledger is the part
+    of it spent building the odd-multiples table, or None when the run was
+    given no table bound. Both are made from the shape by walk_ledgers on
+    each read, so every read is a fresh ledger and a charge to one does not
+    persist.
     _walk builds its results through tuple.__new__ (_new_result), skipping
     the Python frame of the generated __new__, which every run would pay.
     """
@@ -176,9 +178,14 @@ def _walk(
     run pays this function's fixed work, so untraced it makes no Python call
     but the group's and, with a table_bound, _odd_multiples.
 
+    Every multiple of the identity is the identity, so an untraced walk
+    whose D is group.identity returns D and its shape, after the refusals,
+    with no group call. The test is `is`, so no element is read.
+
     With trace, the loop runs on _recording's wrappers of its dbl and add,
     which append each step with the flag after it; the init and final_neg
-    steps are appended here. The group sees the same calls either way.
+    steps are appended here. The group sees the same calls traced or not,
+    except from the identity, which only a traced walk calls the group from.
     """
     digits = e.digits
     if not digits:
@@ -187,14 +194,18 @@ def _walk(
         raise ValueError(f"digit_bound {e.digit_bound} exceeds the addend table's bound {bound}")
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
+    length = len(digits)
+    weight = length - digits.count(0)
+    shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
+    if not trace and D is group.identity:
+        # every multiple of the identity is the identity
+        return _new_result(MulResult, (D, shape, None))
     if table_bound is not None:
         table = _odd_multiples(D, group, table_bound)
     elif fuse_dbl or fuse_add or negative:
         table = {1: D, -1: group.neg(D)}
     else:
         table = {1: D}
-    length = len(digits)
-    weight = length - digits.count(0)
     f = 0
     if lookahead:
         f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) % 2
@@ -215,7 +226,6 @@ def _walk(
         E = group.neg(E)
         if steps is not None:
             steps.append(TraceStep("final_neg", 0, E))
-    shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
     return _new_result(MulResult, (E, shape, steps))
 
 

@@ -1,8 +1,7 @@
-"""Concrete groups: the exact modular oracle, the trivial group and the cost-model wrapper."""
+"""Concrete groups: the exact modular oracle and the cost-model wrapper."""
 
 from __future__ import annotations
 
-import operator
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -47,24 +46,6 @@ class ModularGroup(NegationAwareGroup):
 
     def __repr__(self) -> str:
         return f"ModularGroup({self.n})"
-
-
-class TrivialGroup(NegationAwareGroup):
-    """The one-element group {0}: every operation returns 0.
-
-    For runs whose ledgers are read and whose elements are not. The ops are
-    C builtins (in {0}, doubling and negating agree), so a group op costs no
-    Python frame.
-    """
-
-    __slots__ = ()
-
-    identity = 0
-    add = neg_add = operator.add
-    dbl = neg_dbl = neg = operator.neg
-
-    def __repr__(self) -> str:
-        return "TrivialGroup()"
 
 
 class _CostProfileFields(NamedTuple):
@@ -213,19 +194,19 @@ class CostChargingGroup(NegationAwareGroup):
 
     Results are exactly the inner group's; only cost_of changes, so
     prices_of(this group) gives the profile's prices to read ledgers at.
-    Each instance binds the inner group's five operations as its own, so a
-    call reaches them with no forwarding frame (for TrivialGroup, straight
-    to its C builtins). The class methods below forward the same calls and
-    stay for the interface.
+    Each operation forwards to the inner group's, and identity is the inner
+    group's own object, so a walk from it makes no call at all.
     """
 
     __slots__ = ("inner", "profile")
 
     def __init__(self, inner: NegationAwareGroup, profile: CostProfile) -> None:
+        if not isinstance(inner, NegationAwareGroup):
+            raise ValueError(f"inner must be a NegationAwareGroup, got {inner!r}")
+        if not isinstance(profile, CostProfile):
+            raise ValueError(f"profile must be a CostProfile, got {profile!r}")
         self.inner = inner
         self.profile = profile
-        for kind in OP_KINDS:
-            setattr(self, kind, getattr(inner, kind))
 
     @property
     def identity(self) -> Element:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algorithms import ALGORITHMS, walk_ledgers
-from .backends import CostChargingGroup, CostProfile, TrivialGroup
+from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     DEFAULT_RATIOS,
     OP_KINDS,
@@ -196,11 +196,10 @@ def run_bench(
     if not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
     scalars = sample_scalars(bits, samples, seed)
-    # Only ledger counts are read and the walk never looks at an element, so
-    # every driver runs in the trivial group, whose ops are C builtins. The
-    # wrapper binds them on itself, so each group op the walk makes is one C
-    # call with no forwarding frame.
-    group = CostChargingGroup(TrivialGroup(), profile)
+    # Only shapes are read, so every driver runs from the identity of the
+    # one-element group Z/1, where a walk returns its shape and makes no
+    # group call.
+    group = CostChargingGroup(ModularGroup(1), profile)
     D = group.identity
     algo_ids = algorithms_for_form(form)
     prices = prices_of(group)

@@ -31,7 +31,8 @@ MAX_MISMATCHES = 10
 # (m, D, group) -> m * D in group. verify passes the integers and D = 1, and
 # maps the result into every Z/n, so a driver must treat elements as opaque:
 # pass them to the group's operations and return one, never read, compare or
-# build one.
+# build one. A walk from the identity object itself (found with `is`) returns
+# it with no call; that is exactly m * 0, which the map to Z/n keeps too.
 Driver = Callable[[int, int, NegationAwareGroup], int]
 
 

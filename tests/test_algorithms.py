@@ -33,7 +33,6 @@ from negmul import (
 )
 from negmul import algorithms
 from negmul.algorithms import _odd_multiples
-from negmul.backends import TrivialGroup
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
@@ -378,8 +377,8 @@ SEEDED_4096 = [_rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
 # at width 9, and only the table grows (2**(w - 2) entries): a few scalars
 # cover those widths, where every m would take minutes.
 WIDE_TABLE_SCALARS = (-255, -6, -3, 2, 3, 6, 255)
-# bench's group: the trivial group {0} in the charging wrapper
-TRIVIAL = CostChargingGroup(TrivialGroup(), PICARD_PROFILE)
+# bench's group: the one-element group Z/1 in the charging wrapper
+TRIVIAL = CostChargingGroup(ModularGroup(1), PICARD_PROFILE)
 
 
 def contract_scalars(algo, form, width):
@@ -408,18 +407,19 @@ STEP_KINDS = {
 
 def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
     """The driver contract for one scalar m: the exact coefficient with no
-    element read, a ledger that counts the group calls made and that bench's
-    trivial group reproduces; optionally the charging wrapper's pass-through
-    and the traced run's calls, sign invariant and step kinds."""
+    element read, a ledger that counts the group calls made and whose shape
+    bench's run from the identity of Z/1 reproduces; optionally the charging
+    wrapper's pass-through and the traced run's calls, sign invariant and
+    step kinds."""
     run = (algo, form, width, m)
     g = FreeGroup()
-    # bench's charging wrapper must pass each call through to the inner group once
+    # the charging wrapper must pass each call through to the inner group once
     group = CostChargingGroup(g, PICARD_PROFILE) if wrapped else g
     res = scalar_mul(m, Opaque(1), group, algo, form=form, width=width)
     assert (res.element.coefficient, res.trace) == (m, None), run
     assert res.ledger.counts() == g.calls, run
-    # bench runs its drivers in the trivial group and reads only their ledgers,
-    # which walk_ledgers makes from the shape alone
+    # bench runs its drivers from the identity of Z/1 and reads only their
+    # ledgers, which walk_ledgers makes from the shape alone
     got = scalar_mul(m, TRIVIAL.identity, TRIVIAL, algo, form=form, width=width)
     assert (got.element, got.shape) == (0, res.shape), run
     if not traced:
@@ -456,6 +456,61 @@ def test_every_driver_keeps_the_contract(algo, form, width):
     for m in contract_scalars(algo, form, width):
         traced = -(1 << 8) < m < 1 << 10
         assert_contract(algo, form, width, m, traced=traced, wrapped=abs(m) < 1 << 8)
+
+
+class FixedIdentityGroup(FreeGroup):
+    """A FreeGroup whose identity is one fixed Opaque(0), which a walk can find with `is`."""
+
+    def __init__(self):
+        super().__init__()
+        self.zero = Opaque(0)
+
+    @property
+    def identity(self):
+        return self.zero
+
+
+IDENTITY_SCALARS = (2, 3, 7, 200, 255, 1000, SEEDED_4096[0])
+
+
+@pytest.mark.parametrize("algo, form, width", CONTRACT_RUNS)
+def test_untraced_walks_from_the_identity_make_no_group_call(algo, form, width):
+    """From the identity object an untraced walk returns it and the shape of the
+    run from any other base, with no group call; a traced one makes the calls its
+    ledger counts and records every step; the refusals still come first."""
+    run = ALGORITHMS[algo].run
+    for m in IDENTITY_SCALARS:
+        e = recode(m, form, width)
+        g = FixedIdentityGroup()
+        got = run(e, g.identity, g, width, False)
+        assert got.element is g.zero and got.trace is None, (algo, form, width, m)
+        assert not any(g.calls.values()), (algo, form, width, m, g.calls)
+        want = run(e, Opaque(1), FreeGroup(), width, True)
+        assert got.shape == want.shape, (algo, form, width, m)
+        traced = run(e, g.identity, g, width, True)
+        assert traced.shape == want.shape and traced.ledger.counts() == g.calls, (algo, form, width, m)
+        assert [step[:2] for step in traced.trace] == [step[:2] for step in want.trace]
+        assert {step.element.coefficient for step in traced.trace} == {0}
+    if algo == "baseline":
+        return  # it takes any digit_bound and maps () to the identity
+    bound = (1 << (width - 1)) - 1 if algo == "window" else 1
+    for e, message in (
+        (SignedExpansion(()), "empty expansion"),
+        (SignedExpansion((1,), digit_bound=bound + 2), "exceeds the addend table's bound"),
+    ):
+        g = FixedIdentityGroup()
+        with pytest.raises(ValueError, match=message):
+            run(e, g.identity, g, width, False)
+        assert not any(g.calls.values()), (algo, form, width, e)
+
+
+def test_a_wide_table_is_not_built_from_the_identity():
+    free = FreeGroup()
+    scalar_mul(200, Opaque(1), free, "window", width=16)
+    assert sum(free.calls.values()) == 32772
+    g = FixedIdentityGroup()
+    assert scalar_mul(200, g.identity, g, "window", width=16).element is g.zero
+    assert not any(g.calls.values())
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -11,10 +11,12 @@ from negmul import (
     ALGORITHMS,
     DEFAULT_RATIOS,
     HYPERELLIPTIC_PROFILE,
+    OP_KINDS,
     PICARD_PROFILE,
     CostChargingGroup,
     CostLedger,
     CostRatios,
+    ModularGroup,
     algorithms_for_form,
     prices_of,
     run_bench,
@@ -207,6 +209,17 @@ def test_ratio_override_changes_per_step_savings():
         ("wnaf", 5, "3c0a19b7b4da96d1e4bfe9ee6aa50f578fe3ad4185c6ddd6a1fb205204ee11da"),
     ],
 )
-def test_report_json_is_pinned_for_seed_0(form, width, digest):
-    text = run_bench(PICARD_PROFILE, bits=96, samples=200, seed=0, form=form, width=width).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_report_json_is_pinned_for_seed_0(form, width, digest, monkeypatch):
+    def bench_digest():
+        report = run_bench(PICARD_PROFILE, bits=96, samples=200, seed=0, form=form, width=width)
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    assert bench_digest() == digest
+
+    def no_group_op(*args):
+        raise AssertionError("bench made a group operation")
+
+    # every driver run starts from the identity, so bench makes no group operation
+    for kind in OP_KINDS:
+        monkeypatch.setattr(ModularGroup, kind, no_group_op)
+    assert bench_digest() == digest
