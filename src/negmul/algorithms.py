@@ -174,9 +174,10 @@ def _walk(
     at 1. The addends are the odd-multiples table up to table_bound, or
     {D, -D} when the walk can flip or a digit is negative, else D alone.
     The loop counts nothing: the result records the run's shape (length,
-    weight, negative and these parameters) for walk_ledgers. Every driver
-    run pays this function's fixed work, so untraced it makes no Python call
-    but the group's and, with a table_bound, _odd_multiples.
+    the weight e's recoding stored, negative and these parameters) for
+    walk_ledgers; no digit is scanned to count it. Every driver run pays
+    this function's fixed work, so untraced it makes no Python call but the
+    group's and, with a table_bound, _odd_multiples.
 
     Every multiple of the identity is the identity, so an untraced walk
     whose D is group.identity returns D and its shape, after the refusals,
@@ -194,8 +195,7 @@ def _walk(
         raise ValueError(f"digit_bound {e.digit_bound} exceeds the addend table's bound {bound}")
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
-    length = len(digits)
-    weight = length - digits.count(0)
+    length, weight = len(digits), e.weight
     shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
     if not trace and D is group.identity:
         # every multiple of the identity is the identity
@@ -414,10 +414,11 @@ def scalar_mul(
 
     Handles what the drivers refuse: m = 0 returns the identity, m = 1
     returns D, and a negative m negates the base first (one counted
-    negation). `form` picks the recoding among the forms the driver's
-    ALGORITHMS entry lists, the first when unspecified; a form the entry does
-    not list, or a wnaf width that is not an int in [MIN_WIDTH, MAX_WIDTH],
-    is an error whatever m is.
+    negation; an untraced run from group.identity skips the call, and its
+    shape still records the negated base). `form` picks the recoding among
+    the forms the driver's ALGORITHMS entry lists, the first when
+    unspecified; a form the entry does not list, or a wnaf width that is not
+    an int in [MIN_WIDTH, MAX_WIDTH], is an error whatever m is.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")
@@ -430,7 +431,10 @@ def scalar_mul(
         raise ValueError(f"algorithm {algo!r} runs on form {listed} only, got {form!r}")
     negative = m < 0
     if negative:
-        m, D = -m, group.neg(D)
+        # -O is O; keeping the identity object lets an untraced walk find it
+        m = -m
+        if trace or D is not group.identity:
+            D = group.neg(D)
     if m <= 1:
         result = MulResult(D if m else group.identity, _NO_OPS)
     else:

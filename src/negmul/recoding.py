@@ -13,7 +13,6 @@ recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 from __future__ import annotations
 
 from functools import cache
-from operator import sub
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
 
@@ -35,12 +34,19 @@ class SignedExpansion:
     for B > 1 nonzero digits must additionally be odd (the odd-multiples
     table convention). The leading digit of a nonempty expansion must be
     positive: these are expansions of nonnegative integers only.
+
+    weight, the number of nonzero digits, is stored beside the digits: this
+    constructor counts it once after its checks, and each recoding passes the
+    count it made along the way to _trusted, so no reader rescans the digits.
+    It is derived from the digits, so equality, hashing and pickling use the
+    digits and the bound alone.
     """
 
-    __slots__ = ("digits", "digit_bound")
+    __slots__ = ("digits", "digit_bound", "weight")
 
     digits: tuple[int, ...]
     digit_bound: int
+    weight: int
 
     def __init__(self, digits: tuple[int, ...], digit_bound: int = 1) -> None:
         digits = tuple(digits)
@@ -59,6 +65,7 @@ class SignedExpansion:
             raise ValueError(f"leading digit must be positive, got {digits[0]}")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "digit_bound", digit_bound)
+        object.__setattr__(self, "weight", len(digits) - digits.count(0))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"SignedExpansion is immutable; cannot assign {name!r}")
@@ -86,11 +93,6 @@ class SignedExpansion:
         return len(self.digits)
 
     @property
-    def weight(self) -> int:
-        """Number of nonzero digits."""
-        return len(self.digits) - self.digits.count(0)
-
-    @property
     def value(self) -> int:
         """The integer this expansion denotes, computed exactly."""
         v = 0
@@ -102,24 +104,27 @@ class SignedExpansion:
 # the slots' own setters, which __setattr__'s refusal does not reach
 _set_digits = SignedExpansion.digits.__set__
 _set_bound = SignedExpansion.digit_bound.__set__
+_set_weight = SignedExpansion.weight.__set__
 
 
-def _trusted(digits: tuple[int, ...], digit_bound: int) -> SignedExpansion:
+def _trusted(digits: tuple[int, ...], digit_bound: int, weight: int) -> SignedExpansion:
     """The SignedExpansion of digits a recoding made, built without re-checking them.
 
+    weight is the count of nonzero digits the recoding made, taken as given.
     Only the recodings below call it; the tests rebuild their outputs through
-    SignedExpansion(...), which checks every digit.
+    SignedExpansion(...), which checks every digit and counts the weight.
     """
     e = object.__new__(SignedExpansion)
     _set_digits(e, digits)
     _set_bound(e, digit_bound)
+    _set_weight(e, weight)
     return e
 
 
 def binary_expansion(m: int) -> SignedExpansion:
     """Plain base-2 digits of m, most-significant first."""
     _require_nonnegative(m)
-    return _trusted(tuple(_bits(m)) if m else (), 1)
+    return _trusted(tuple(_bits(m)) if m else (), 1, m.bit_count())
 
 
 def naf(m: int) -> SignedExpansion:
@@ -127,15 +132,24 @@ def naf(m: int) -> SignedExpansion:
 
     Read off 3m: NAF digit i - 1 is nonzero exactly where 3m and m differ at
     bit i > 0, and it is +1 where 3m has that bit, -1 where m has it.
+    The weight is the number of such bits.
+
+    The digits come from one byte conversion: plus and minus, spread to one
+    byte per bit, are added as plus + 255 * minus (the two never share a bit,
+    so no byte carries), and the bytes, read as signed chars, are the digits
+    with 255 as -1. The top digit is plus's top bit, so plus's bit length is
+    the expansion's length.
     """
     _require_nonnegative(m)
     if m == 0:
-        return _trusted((), 1)
+        return _trusted((), 1, 0)
     triple = 3 * m
     differ = triple ^ m
-    plus = _bits((triple & differ) >> 1)
-    minus = _bits((m & differ) >> 1, len(plus))
-    return _trusted(tuple(map(sub, plus, minus)), 1)
+    plus = (triple & differ) >> 1
+    minus = (m & differ) >> 1
+    spread = int.from_bytes(_bits(plus), "big") + 255 * int.from_bytes(_bits(minus), "big")
+    digits = tuple(memoryview(spread.to_bytes(plus.bit_length(), "big")).cast("b"))
+    return _trusted(digits, 1, differ.bit_count())
 
 
 def width_w_naf(m: int, w: int) -> SignedExpansion:
@@ -152,7 +166,8 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     1 bit, or at the next 0 bit while a carry is pending. Its value is read
     off the w-bit window that ends there, whose low bit the carry makes 1;
     the window's upper w - 1 bits key _window_digits. Each nonzero digit
-    costs O(w) string work and no operation on an m-sized integer.
+    costs O(w) string work and no operation on an m-sized integer, and the
+    scan counts the digits it finds as the expansion's weight.
     """
     _require_nonnegative(m)
     require_width(w)
@@ -161,12 +176,14 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     digits = [0] * len(bits)
     top = len(bits)
     find = bits.rfind
+    weight = 0
     j = find("1")
     while j >= 0:
         top, start = j, j - w + 1
         d = digits[j] = windows[bits[start:j]]
+        weight += 1
         j = find("0" if d < 0 else "1", 0, start)
-    return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1)
+    return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1, weight)
 
 
 @cache
@@ -197,9 +214,9 @@ def recode(m: int, form: str, width: int) -> SignedExpansion:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(m: int, width: int = 0) -> bytes:
-    """m's base-2 digits as bytes of 0s and 1s, most-significant first, zero-padded to width."""
-    return format(m, f"0{width}b").encode().translate(_BIT_VALUES)
+def _bits(m: int) -> bytes:
+    """m's base-2 digits as bytes of 0s and 1s, most-significant first."""
+    return format(m, "b").encode().translate(_BIT_VALUES)
 
 
 def _digit_error(d: int, bound: int) -> str | None:

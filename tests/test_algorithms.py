@@ -509,8 +509,19 @@ def test_a_wide_table_is_not_built_from_the_identity():
     scalar_mul(200, Opaque(1), free, "window", width=16)
     assert sum(free.calls.values()) == 32772
     g = FixedIdentityGroup()
-    assert scalar_mul(200, g.identity, g, "window", width=16).element is g.zero
+    plus = scalar_mul(200, g.identity, g, "window", width=16)
+    assert plus.element is g.zero
     assert not any(g.calls.values())
+    # -O is O: a negative scalar keeps the identity object for the walk, and
+    # its shape still records the negated base
+    minus = scalar_mul(-200, g.identity, g, "window", width=16)
+    assert minus.element is g.zero and minus.trace is None
+    assert not any(g.calls.values())
+    assert minus.shape == (*plus.shape, True)
+    g = FixedIdentityGroup()
+    traced = scalar_mul(-200, g.identity, g, "window", width=16, trace=True)
+    assert sum(g.calls.values()) == 32773
+    assert traced.shape == minus.shape and traced.ledger.counts() == g.calls
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

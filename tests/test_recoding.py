@@ -1,5 +1,6 @@
 """Tests for the signed-digit recodings."""
 
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,11 @@ def has_adjacent_nonzeros(digits):
 def window_property_holds(digits, w):
     nonzero = [i for i, d in enumerate(digits) if d]
     return all(b - a >= w for a, b in zip(nonzero, nonzero[1:]))
+
+
+def assert_weight_counted(e):
+    """The weight a recoding stored equals the count of e's nonzero digits."""
+    assert e.weight == len(e.digits) - e.digits.count(0), e
 
 
 def test_binary_examples():
@@ -127,6 +133,7 @@ def test_wnaf_equals_the_digit_by_digit_reference(m, w):
     e = width_w_naf(m, w)
     assert e.digits == reference_width_w_naf(m, w)
     assert e.value == m
+    assert_weight_counted(e)
 
 
 # Carries. On a run of ones every negative digit leaves a carry that runs up
@@ -182,8 +189,24 @@ def test_naf_and_binary_equal_the_references_small():
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(m=st.integers(0, (1 << 4096) - 1))
 def test_naf_and_binary_equal_the_references(m):
-    assert naf(m).digits == reference_width_w_naf(m, 2)
-    assert binary_expansion(m).digits == bin_digits(m)
+    e, b = naf(m), binary_expansion(m)
+    assert e.digits == reference_width_w_naf(m, 2)
+    assert b.digits == bin_digits(m)
+    assert_weight_counted(e)
+    assert_weight_counted(b)
+
+
+# naf spreads its plus and minus bits to one byte per digit and reads the sum
+# back as signed chars; runs of ones (2**k - 1) end in a -1 with a carry into
+# a new top digit, and 2**k + 1 keeps both ends of a long run of zeros.
+def test_naf_byte_conversion_edge_cases():
+    ms = [(1 << k) + s for k in range(1, 301) for s in (-1, 1)]
+    for m in (*ms, (1 << 4096) - 1):
+        e = naf(m)
+        assert e.digits == reference_width_w_naf(m, 2), m
+        assert all(type(d) is int and d in (-1, 0, 1) for d in e.digits), m
+        assert e.length in (m.bit_length(), m.bit_length() + 1), m
+        assert_weight_counted(e)
 
 
 def test_naf_and_binary_reject_what_they_cannot_recode():
@@ -254,7 +277,21 @@ def test_every_recoding_passes_the_public_checks():
     # each is rebuilt here through SignedExpansion(...), which runs them all
     for m in (*range(1 << 12), *SEEDED_4096):
         for e in (binary_expansion(m), naf(m), *(width_w_naf(m, w) for w in WIDTHS)):
-            assert SignedExpansion(e.digits, e.digit_bound) == e, (m, e)
+            rebuilt = SignedExpansion(e.digits, e.digit_bound)
+            assert rebuilt == e, (m, e)
+            # == compares digits and bound only; the stored weight is checked apart
+            assert rebuilt.weight == e.weight == len(e.digits) - e.digits.count(0), (m, e)
+
+
+def test_stored_weight_survives_pickling_and_cannot_be_changed():
+    for e in (naf(0x7FFF), width_w_naf(12345, 5), binary_expansion(6), naf(0)):
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and copy.weight == e.weight
+        with pytest.raises(AttributeError):
+            e.weight = e.weight + 1
+        with pytest.raises(AttributeError):
+            del e.weight
+        assert_weight_counted(e)
 
 
 def test_expansion_accepts_list_input():
