@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .costs import CostLedger
 from .groups import Element, NegationAwareGroup
-from .recoding import SignedExpansion, recode, require_width
+from .recoding import SignedExpansion, recode
 
 MIXED_MODES = ("neg_doubling_only", "neg_addition_only")
 
@@ -138,8 +138,8 @@ def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[in
     """Signed table r -> r*D and -r -> -(r*D) for odd r in [1, bound].
 
     Chain: 2D once, then successive additions; one negation per entry. Its
-    bound-1 case is the pair {D, -D}, which _walk builds inline when it has
-    no table_bound.
+    bound-1 case is the pair {D, -D}. Every table _walk builds but {1: D}
+    comes from here.
     """
     table = {1: D, -1: group.neg(D)}
     if bound >= 3:
@@ -171,13 +171,15 @@ def _walk(
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. The addends are the odd-multiples table up to table_bound, or
-    {D, -D} when the walk can flip or a digit is negative, else D alone.
+    at 1. The addends are the one table policy, the table walk_ledgers
+    charges: _odd_multiples up to table_bound, or up to 1 ({D, -D}) when
+    the walk can flip or a digit is negative, else D alone. The drivers pass
+    table_bound=e.digit_bound or none, so the expansion owns its table.
     The loop counts nothing: the result records the run's shape (length,
     the weight e's recoding stored, negative and these parameters) for
     walk_ledgers; no digit is scanned to count it. Every driver run pays
     this function's fixed work, so untraced it makes no Python call but the
-    group's and, with a table_bound, _odd_multiples.
+    group's and _odd_multiples.
 
     Every multiple of the identity is the identity, so an untraced walk
     whose D is group.identity returns D and its shape, after the refusals,
@@ -200,10 +202,8 @@ def _walk(
     if not trace and D is group.identity:
         # every multiple of the identity is the identity
         return _new_result(MulResult, (D, shape, None))
-    if table_bound is not None:
-        table = _odd_multiples(D, group, table_bound)
-    elif fuse_dbl or fuse_add or negative:
-        table = {1: D, -1: group.neg(D)}
+    if table_bound is not None or fuse_dbl or fuse_add or negative:
+        table = _odd_multiples(D, group, bound)
     else:
         table = {1: D}
     f = 0
@@ -271,13 +271,11 @@ def double_and_add(
 ) -> MulResult:
     """Classical left-to-right double-and-add; the costing baseline.
 
-    Accepts any valid expansion. Digit sets beyond {-1, 0, 1} get the same
-    odd-multiples table the windowed driver builds, so the two stay cost
-    comparable; for signed binary digits only -D is precomputed, and only
-    when a negative digit actually occurs.
+    Accepts any nonempty expansion. Digit sets beyond {-1, 0, 1} get the
+    odd-multiples table up to e.digit_bound, the one the windowed driver
+    builds, so the two stay cost comparable; for signed binary digits only
+    -D is precomputed, and only when a negative digit actually occurs.
     """
-    if not e.digits:
-        return MulResult(group.identity, _NO_OPS, [] if trace else None)
     bound = e.digit_bound if e.digit_bound > 1 else None
     return _walk(
         e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
@@ -347,30 +345,32 @@ def windowed_neg_scalar_mul(
     e: SignedExpansion,
     D: Element,
     group: NegationAwareGroup,
-    w: int,
     *,
     trace: bool = False,
 ) -> MulResult:
-    """Sign-tracking multiplication over a width-w table of odd multiples.
+    """Sign-tracking multiplication over the expansion's table of odd multiples.
 
-    Precomputes r*D and -(r*D) for odd r below 2**(w-1); a nonzero digit
-    then resolves (-1)**f * d * D by table lookup. The sign runs in the
-    no-lookahead style: start at the leading digit's table entry with f = 0
-    and negate once at the end if the flag closes at 1. Table construction
-    is reported separately in table_ledger.
+    Precomputes r*D and -(r*D) for odd r up to e.digit_bound (2**(w-1) - 1
+    for a width-w NAF); a nonzero digit then resolves (-1)**f * d * D by
+    table lookup. The sign runs in the no-lookahead style: start at the
+    leading digit's table entry with f = 0 and negate once at the end if the
+    flag closes at 1. Table construction is reported separately in
+    table_ledger.
     """
-    require_width(w)
-    bound = (1 << (w - 1)) - 1
     return _walk(
-        e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=bound
+        e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=e.digit_bound
     )
 
 
 class Algorithm(NamedTuple):
-    """A driver's recoding forms, default first, and its runner (e, D, group, width, trace)."""
+    """A driver's recoding forms, default first, and its runner (e, D, group, trace).
+
+    The runner takes its table, if any, from the expansion: a wnaf
+    recoding's width is already in e.digit_bound.
+    """
 
     forms: tuple[str, ...]
-    run: Callable[[SignedExpansion, Element, NegationAwareGroup, int, bool], MulResult]
+    run: Callable[[SignedExpansion, Element, NegationAwareGroup, bool], MulResult]
 
 
 # the recodings whose digits lie in {-1, 0, 1}; a width-w NAF needs a table
@@ -380,20 +380,20 @@ _UNIT_FORMS = ("naf", "binary")
 # driver here (to wrap or trace it) reaches every caller of the registry.
 ALGORITHMS: dict[str, Algorithm] = {
     "baseline": Algorithm(
-        ("binary", "naf", "wnaf"), lambda e, D, g, w, t: double_and_add(e, D, g, trace=t)
+        ("binary", "naf", "wnaf"), lambda e, D, g, t: double_and_add(e, D, g, trace=t)
     ),
-    "neg": Algorithm(_UNIT_FORMS, lambda e, D, g, w, t: neg_scalar_mul(e, D, g, trace=t)),
+    "neg": Algorithm(_UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul(e, D, g, trace=t)),
     "online": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, w, t: neg_scalar_mul_online(e, D, g, trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul_online(e, D, g, trace=t)
     ),
     "neg-dbl-only": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
     ),
     "neg-add-only": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, w, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
     ),
     "window": Algorithm(
-        ("wnaf",), lambda e, D, g, w, t: windowed_neg_scalar_mul(e, D, g, w, trace=t)
+        ("wnaf",), lambda e, D, g, t: windowed_neg_scalar_mul(e, D, g, trace=t)
     ),
 }
 
@@ -438,7 +438,7 @@ def scalar_mul(
     if m <= 1:
         result = MulResult(D if m else group.identity, _NO_OPS)
     else:
-        result = run(e, D, group, width, trace)
+        result = run(e, D, group, trace)
     if negative:
         result = result._replace(shape=(*result.shape, True))
     return result

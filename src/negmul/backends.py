@@ -20,14 +20,12 @@ class ModularGroup(NegationAwareGroup):
 
     __slots__ = ("n",)
 
+    identity = 0
+
     def __init__(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"modulus must be a positive integer, got {n!r}")
         self.n = n
-
-    @property
-    def identity(self) -> int:
-        return 0
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.n

@@ -213,7 +213,7 @@ def run_bench(
         else:
             e = width_w_naf(m, width)
         for counted, run in runs:
-            counted[run(e, D, group, width, False).shape] += 1
+            counted[run(e, D, group, False).shape] += 1
     totals = {algo: _ledger_of(shapes[algo]) for algo in algo_ids}
     base_total = weighted_total(totals["baseline"].total(prices), ratios)
     entries = []

@@ -20,10 +20,11 @@ OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 class SameClassEquality:
     """Mixin for checked tuple records: same-class equality and a checked _replace.
 
-    Against another class == and != return NotImplemented, so two such
-    records of different classes compare unequal whatever their items; the
-    hash stays the tuple's. A plain tuple still compares by its items.
-    _make, and so _replace, builds through the constructor and its checks.
+    A record equals only a record of its own class with the same items: a
+    plain tuple, or a record of another class, compares unequal whatever its
+    items, in either order, since Python tries a subclass's reflected == and
+    != first. The hash stays the tuple's. _make, and so _replace, builds
+    through the constructor and its checks.
     """
 
     __slots__ = ()
@@ -33,14 +34,10 @@ class SameClassEquality:
         return cls(*iterable)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__eq__(self, other)
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
     def __ne__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__ne__(self, other)
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
     __hash__ = tuple.__hash__
 

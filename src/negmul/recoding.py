@@ -19,14 +19,6 @@ RECODING_FORMS = ("binary", "naf", "wnaf")
 MIN_WIDTH, MAX_WIDTH = 2, 16
 
 
-def require_width(w: int) -> None:
-    """Reject a wnaf width that is not an int in [MIN_WIDTH, MAX_WIDTH]."""
-    if not isinstance(w, int) or isinstance(w, bool):
-        raise ValueError(f"width must be an integer, got {w!r}")
-    if not MIN_WIDTH <= w <= MAX_WIDTH:
-        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
-
-
 class SignedExpansion:
     """An immutable digit string plus the bound its digits respect.
 
@@ -170,7 +162,10 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     scan counts the digits it finds as the expansion's weight.
     """
     _require_nonnegative(m)
-    require_width(w)
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise ValueError(f"width must be an integer, got {w!r}")
+    if not MIN_WIDTH <= w <= MAX_WIDTH:
+        raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
     windows = _window_digits(w)
     bits = "0" * w + format(m, "b")
     digits = [0] * len(bits)

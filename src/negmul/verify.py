@@ -80,11 +80,11 @@ def default_verify_algorithms() -> dict[str, Driver]:
         def drive(m: int, D: int, group: NegationAwareGroup) -> int:
             if m == 0:
                 return group.identity
-            return run(recode_of(m, form, width), D, group, width, False).element
+            return run(recode_of(m, form, width), D, group, False).element
 
         return drive
 
-    # the width reaches only the windowed driver; the others ignore it
+    # the width reaches only the wnaf recoding, the default of the windowed driver alone
     algorithms = {algo: driver(algo, 4) for algo in ALGORITHMS if algo != "window"}
     for w in VERIFY_WIDTHS:
         algorithms[f"window-w{w}"] = driver("window", w)

@@ -59,10 +59,8 @@ def test_double_and_add_examples():
 
 
 def test_double_and_add_empty_expansion():
-    g = ModularGroup(11)
-    res = double_and_add(SignedExpansion(()), 3, g)
-    assert res.element == g.identity
-    assert counts(res.ledger) == {}
+    with pytest.raises(ValueError, match="^empty expansion: map m = 0 to the identity"):
+        double_and_add(SignedExpansion(()), 3, ModularGroup(11))
 
 
 def test_double_and_add_operation_counts():
@@ -151,25 +149,25 @@ def test_mixed_rejects_unknown_mode():
 
 
 def test_windowed_examples():
-    res = windowed_neg_scalar_mul(width_w_naf(7, 3), 1, ModularGroup(13), 3)
+    res = windowed_neg_scalar_mul(width_w_naf(7, 3), 1, ModularGroup(13))
     assert res.element == 7
 
-    res = windowed_neg_scalar_mul(SignedExpansion((3,), digit_bound=3), 1, ModularGroup(7), 3)
+    res = windowed_neg_scalar_mul(SignedExpansion((3,), digit_bound=3), 1, ModularGroup(7))
     assert res.element == 3
     assert counts(res.ledger) == {"dbl": 1, "add": 1, "neg": 2}
     assert res.table_ledger == res.ledger  # no loop iterations, no final negation
 
-    # a wider-bound expansion is refused even when its digits fit the width-3 table
+    # the table reaches the expansion's declared bound, not its largest digit
     e = width_w_naf(3, 5)
     assert e.digit_bound == 15 and e.digits == (3,)
-    with pytest.raises(ValueError) as exc:
-        windowed_neg_scalar_mul(e, 1, ModularGroup(13), 3)
-    assert str(exc.value) == "digit_bound 15 exceeds the addend table's bound 3"
+    res = windowed_neg_scalar_mul(e, 1, ModularGroup(13))
+    assert res.element == 3
+    assert counts(res.table_ledger) == {"dbl": 1, "add": 7, "neg": 8}
 
 
 def test_windowed_table_costs():
     g = ModularGroup(1009)
-    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), 1, g, 4)
+    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), 1, g)
     assert res.element == 1000 % 1009
     table = res.table_ledger
     assert counts(table) == {"dbl": 1, "add": 3, "neg": 4}
@@ -182,7 +180,7 @@ def test_windowed_matches_online_for_width_2():
     g = ModularGroup(8191)
     for m in range(1, 1 << 12):
         e = naf(m)
-        from_window = windowed_neg_scalar_mul(e, 1, g, 2)
+        from_window = windowed_neg_scalar_mul(e, 1, g)
         from_online = neg_scalar_mul_online(e, 1, g)
         assert from_window.element == from_online.element
         assert from_window.ledger == from_online.ledger
@@ -190,72 +188,63 @@ def test_windowed_matches_online_for_width_2():
 
 def test_windowed_rejects_bad_input():
     g = ModularGroup(13)
-    with pytest.raises(ValueError, match="exceeds the addend table's bound 3"):
-        windowed_neg_scalar_mul(SignedExpansion((5,), digit_bound=7), 1, g, 3)
     with pytest.raises(ValueError, match="empty expansion"):
-        windowed_neg_scalar_mul(SignedExpansion(()), 1, g, 3)
-    with pytest.raises(ValueError, match="width"):
-        windowed_neg_scalar_mul(naf(5), 1, g, 1)
+        windowed_neg_scalar_mul(SignedExpansion(()), 1, g)
+    # the table's bound is the expansion's: there is no width to pass
+    with pytest.raises(TypeError):
+        windowed_neg_scalar_mul(naf(5), 1, g, 3)
 
 
 def test_drivers_accept_by_declared_digit_bound():
-    """Acceptance reads the driver, the width and digit_bound, never the digit values.
+    """Acceptance reads the driver and digit_bound, never the digit values.
 
-    For every pair of expansion width and driver width in [MIN_WIDTH, MAX_WIDTH]:
-    window(w) refuses exactly the expansions whose digit_bound exceeds its
-    table's, the four {-1, 0, 1} drivers refuse every digit_bound above 1, and
-    the baseline refuses none. Each expansion width gets a scalar whose digits
-    are all +-1, which fit every table, and two whose digits reach its bound.
-    Every driver but the baseline refuses the empty expansion, which the
-    baseline maps to the identity. A refusal comes before any group call.
+    window and the baseline build their table up to the expansion's own
+    digit_bound, so they take every nonempty expansion; the four
+    {-1, 0, 1} drivers refuse every digit_bound above 1. Each wnaf width in
+    [MIN_WIDTH, MAX_WIDTH] gets a scalar whose digits are all +-1, which fit
+    every table, and two whose digits reach its bound. All six drivers
+    refuse the empty expansion with one message. A refusal comes before any
+    group call.
     """
     n = 8191
     g = ModularGroup(n)
     unit_drivers = [algo for algo in ALGORITHMS if algo not in ("baseline", "window")]
 
-    def refusal(algo, e, w):
-        """The message of algo's refusal of e at width w, run in a FreeGroup it never calls."""
+    def refusal(algo, e):
+        """The message of algo's refusal of e, run in a FreeGroup it never calls."""
         free = FreeGroup()
         with pytest.raises(ValueError) as exc:
-            ALGORITHMS[algo].run(e, Opaque(1), free, w, False)
-        assert not any(free.calls.values()), (algo, e, w, free.calls)
+            ALGORITHMS[algo].run(e, Opaque(1), free, False)
+        assert not any(free.calls.values()), (algo, e, free.calls)
         return str(exc.value)
 
-    empty = SignedExpansion(())
-    free = FreeGroup()
-    assert double_and_add(empty, Opaque(1), free).element.coefficient == 0
-    assert not any(free.calls.values())
-    for w in range(MIN_WIDTH, MAX_WIDTH + 1):
-        for algo in ALGORITHMS.keys() - {"baseline"}:
-            assert refusal(algo, empty, w) == (
-                "empty expansion: map m = 0 to the identity before dispatching"
-            ), (algo, w)
+    for algo in ALGORITHMS:
+        assert refusal(algo, SignedExpansion(())) == (
+            "empty expansion: map m = 0 to the identity before dispatching"
+        ), algo
     seen = set()
-    for expansion_width in range(MIN_WIDTH, MAX_WIDTH + 1):
-        half = 1 << (expansion_width - 1)
+    for w in range(MIN_WIDTH, MAX_WIDTH + 1):
+        half = 1 << (w - 1)
         for m in ((1 << 20) + 1, half - 1, half + 1):
-            e = width_w_naf(m, expansion_width)
+            e = width_w_naf(m, w)
             assert e.digit_bound == half - 1
+            free = FreeGroup()
+            res = windowed_neg_scalar_mul(e, Opaque(1), free)
+            assert res.element.coefficient == m and res.ledger.counts() == free.calls, (w, m)
+            entries = (e.digit_bound + 1) // 2
+            table = {"dbl": int(e.digit_bound >= 3), "add": entries - 1, "neg": entries}
+            assert counts(res.table_ledger) == {k: v for k, v in table.items() if v}, (w, m)
+            assert double_and_add(e, 1, g).element == m % n
             widest = max(map(abs, e.digits))
-            for w in range(MIN_WIDTH, MAX_WIDTH + 1):
-                table_bound = (1 << (w - 1)) - 1
-                refused = e.digit_bound > table_bound
-                seen.add((widest <= table_bound, refused))
-                if refused:
-                    assert refusal("window", e, w) == (
-                        f"digit_bound {e.digit_bound} exceeds the addend table's bound {table_bound}"
-                    )
-                else:
-                    assert windowed_neg_scalar_mul(e, 1, g, w).element == m % n
             for algo in unit_drivers:
-                run = ALGORITHMS[algo].run
-                if e.digit_bound > 1:
-                    assert refusal(algo, e, expansion_width) == (
+                refused = e.digit_bound > 1
+                seen.add((widest <= 1, refused))
+                if refused:
+                    assert refusal(algo, e) == (
                         f"digit_bound {e.digit_bound} exceeds the addend table's bound 1"
                     )
                 else:
-                    assert run(e, 1, g, expansion_width, False).element == m % n
-            assert double_and_add(e, 1, g).element == m % n
+                    assert ALGORITHMS[algo].run(e, 1, g, False).element == m % n
     # refusals include expansions whose digits would have fit the table
     assert seen == {(True, False), (True, True), (False, True)}
 
@@ -482,25 +471,22 @@ def test_untraced_walks_from_the_identity_make_no_group_call(algo, form, width):
     for m in IDENTITY_SCALARS:
         e = recode(m, form, width)
         g = FixedIdentityGroup()
-        got = run(e, g.identity, g, width, False)
+        got = run(e, g.identity, g, False)
         assert got.element is g.zero and got.trace is None, (algo, form, width, m)
         assert not any(g.calls.values()), (algo, form, width, m, g.calls)
-        want = run(e, Opaque(1), FreeGroup(), width, True)
+        want = run(e, Opaque(1), FreeGroup(), True)
         assert got.shape == want.shape, (algo, form, width, m)
-        traced = run(e, g.identity, g, width, True)
+        traced = run(e, g.identity, g, True)
         assert traced.shape == want.shape and traced.ledger.counts() == g.calls, (algo, form, width, m)
         assert [step[:2] for step in traced.trace] == [step[:2] for step in want.trace]
         assert {step.element.coefficient for step in traced.trace} == {0}
-    if algo == "baseline":
-        return  # it takes any digit_bound and maps () to the identity
-    bound = (1 << (width - 1)) - 1 if algo == "window" else 1
-    for e, message in (
-        (SignedExpansion(()), "empty expansion"),
-        (SignedExpansion((1,), digit_bound=bound + 2), "exceeds the addend table's bound"),
-    ):
+    refusals = [(SignedExpansion(()), "empty expansion")]
+    if algo not in ("baseline", "window"):  # the two that take any digit_bound
+        refusals.append((SignedExpansion((1,), digit_bound=3), "exceeds the addend table's bound"))
+    for e, message in refusals:
         g = FixedIdentityGroup()
         with pytest.raises(ValueError, match=message):
-            run(e, g.identity, g, width, False)
+            run(e, g.identity, g, False)
         assert not any(g.calls.values()), (algo, form, width, e)
 
 
@@ -560,7 +546,7 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
 
 def test_ledgers_are_made_from_the_shape():
     assert MulResult._fields == ("element", "shape", "trace")
-    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), Opaque(1), FreeGroup(), 4)
+    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), Opaque(1), FreeGroup())
     for read in (lambda: res.ledger, lambda: res.table_ledger):
         first = read()
         assert read() == first and read() is not first

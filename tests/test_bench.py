@@ -177,7 +177,7 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
                 merged = CostLedger()
                 for m in sample_scalars(24, 60, seed):
                     e = recode(m, form, width)
-                    merged.merge(ALGORITHMS[entry.algo_id].run(e, D, group, width, False).ledger)
+                    merged.merge(ALGORITHMS[entry.algo_id].run(e, D, group, False).ledger)
                 assert entry.ledger == merged, (seed, form, width, entry.algo_id)
                 total = weighted_total(merged.total(prices))
                 assert entry.total_weighted == total, (seed, form, width, entry.algo_id)

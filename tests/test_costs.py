@@ -71,7 +71,7 @@ def test_ratios_are_exact():
         CostRatios(True, False, True)
     assert str(exc.value) == "sqr_per_mul must be an exact ratio, got True"
     ratios = CostRatios(1, Fraction(5, 2), "1/10")
-    assert ratios == (1, Fraction(5, 2), Fraction(1, 10))
+    assert tuple(ratios) == (1, Fraction(5, 2), Fraction(1, 10))
     assert all(type(ratio) is Fraction for ratio in ratios)
 
 
@@ -150,6 +150,25 @@ def test_ratios_equal_only_ratios():
     # the hash is still the tuple's, so equal ratios still collapse in a set
     assert hash(ratios) == hash(tuple(ratios))
     assert len({ratios, CostRatios(0, 0, 0), steps}) == 2
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        CostVector(1, 2, 3, 4),
+        CostRatios(0, 0, 0),
+        PICARD_PROFILE,
+        StepCosts(Fraction(172), Fraction(159), Fraction(325, 43)),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_never_equal_plain_tuples(record):
+    items = tuple(record)
+    # a tuple subclass's reflected == and != run first, so both orders refuse
+    assert record != items and items != record
+    assert not record == items and not items == record
+    assert record == type(record)._make(items) and not record != type(record)._make(items)
+    assert hash(record) == hash(items)
 
 
 def test_weighted_total_is_linear():
