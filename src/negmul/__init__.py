@@ -19,7 +19,6 @@ from .algorithms import (
     neg_scalar_mul,
     neg_scalar_mul_online,
     scalar_mul,
-    walk_ledgers,
     windowed_neg_scalar_mul,
 )
 from .backends import (
@@ -97,7 +96,6 @@ __all__ = [
     "savings_percent",
     "scalar_mul",
     "verify_universal_agreement",
-    "walk_ledgers",
     "weighted_total",
     "width_w_naf",
     "windowed_neg_scalar_mul",

@@ -1,8 +1,9 @@
 """Scalar-multiplication drivers over a negation-aware group.
 
 Every driver walks a signed-digit expansion most-significant digit first and
-returns the product together with the shape of its run, from which
-walk_ledgers makes a ledger of the group operations it performed on each read.
+returns the product together with the shape of its run, from which the
+private formula _walk_ledgers makes a ledger of the group operations it
+performed on each read.
 The negating drivers keep the intermediate result correct only up
 to sign: a one-bit flag f counts negations mod 2 and maintains
 
@@ -42,11 +43,11 @@ class TraceStep(NamedTuple):
 class MulResult(NamedTuple):
     """Product element, the shape of the run that produced it, and its trace.
 
-    shape is walk_ledgers' arguments for the run. ledger counts the group
+    shape is _walk_ledgers' arguments for the run. ledger counts the group
     operations a run from any base but the identity performs (an untraced
     run from the identity makes none, see _walk); table_ledger is the part
     of it spent building the odd-multiples table, or None when the run was
-    given no table bound. Both are made from the shape by walk_ledgers on
+    given no table bound. Both are made from the shape by _walk_ledgers on
     each read, so every read is a fresh ledger and a charge to one does not
     persist.
     _walk builds its results through tuple.__new__ (_new_result), skipping
@@ -59,14 +60,14 @@ class MulResult(NamedTuple):
 
     @property
     def ledger(self) -> CostLedger:
-        return walk_ledgers(*self.shape)[0]
+        return _walk_ledgers(*self.shape)[0]
 
     @property
     def table_ledger(self) -> CostLedger | None:
-        return walk_ledgers(*self.shape)[1]
+        return _walk_ledgers(*self.shape)[1]
 
 
-def walk_ledgers(
+def _walk_ledgers(
     length: int,
     weight: int,
     negative: bool,
@@ -86,29 +87,9 @@ def walk_ledgers(
     entries - 1 adds and one neg per entry); length - 1 doublings and
     weight - 1 additions of the chosen kinds; a closing neg exactly when there
     is no lookahead and (length - 1) * fuse_dbl + (weight - 1) * fuse_add is
-    odd; and a neg for a negated base. The five flags must be bools, since a
-    truth value would price a run that no walk makes.
+    odd; and a neg for a negated base. Its shapes come only from _walk, which
+    has accepted the expansion, and from scalar_mul, so it checks none.
     """
-    for name, value in (("length", length), ("weight", weight)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    for name, value in (
-        ("negative", negative),
-        ("fuse_dbl", fuse_dbl),
-        ("fuse_add", fuse_add),
-        ("lookahead", lookahead),
-        ("negated_base", negated_base),
-    ):
-        if value is not True and value is not False:
-            raise ValueError(f"{name} must be a bool, got {value!r}")
-    if table_bound is not None and (
-        not isinstance(table_bound, int) or isinstance(table_bound, bool)
-    ):
-        raise ValueError(f"table_bound must be None or an integer, got {table_bound!r}")
-    if not 1 <= weight <= length:
-        raise ValueError(f"a run needs 1 <= weight <= length, got weight {weight}, length {length}")
-    if table_bound is not None and table_bound < 1:
-        raise ValueError(f"table_bound must be None or at least 1, got {table_bound}")
     ledger = CostLedger()
     if table_bound is not None or fuse_dbl or fuse_add or negative:
         entries = ((table_bound or 1) + 1) // 2
@@ -171,15 +152,16 @@ def _walk(
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. The addends are the one table policy, the table walk_ledgers
+    at 1. The addends are the one table policy, the table _walk_ledgers
     charges: _odd_multiples up to table_bound, or up to 1 ({D, -D}) when
     the walk can flip or a digit is negative, else D alone. The drivers pass
     table_bound=e.digit_bound or none, so the expansion owns its table.
     The loop counts nothing: the result records the run's shape (length,
     the weight e's recoding stored, negative and these parameters) for
-    walk_ledgers; no digit is scanned to count it. Every driver run pays
-    this function's fixed work, so untraced it makes no Python call but the
-    group's and _odd_multiples.
+    _walk_ledgers, which prices it unchecked, so these refusals are the
+    only check a shape gets; no digit is scanned to count it. Every driver
+    run pays this function's fixed work, so untraced it makes no Python call
+    but the group's and _odd_multiples.
 
     Every multiple of the identity is the identity, so an untraced walk
     whose D is group.identity returns D and its shape, after the refusals,

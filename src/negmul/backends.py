@@ -56,7 +56,11 @@ class _CostProfileFields(NamedTuple):
 
 
 class CostProfile(SameClassEquality, _CostProfileFields):
-    """Named per-operation cost vectors for one family of group arithmetic."""
+    """Named per-operation cost vectors for one family of group arithmetic.
+
+    The name must be a str and every *_cost a CostVector; anything else
+    raises a ValueError naming the field, on _replace too.
+    """
 
     __slots__ = ()
 
@@ -69,6 +73,12 @@ class CostProfile(SameClassEquality, _CostProfileFields):
         neg_add_cost: CostVector,
         neg_dbl_cost: CostVector,
     ) -> CostProfile:
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a str, got {name!r}")
+        costs = (add_cost, dbl_cost, neg_cost, neg_add_cost, neg_dbl_cost)
+        for field, cost in zip(cls._fields[1:], costs):
+            if not isinstance(cost, CostVector):
+                raise ValueError(f"{field} must be a CostVector, got {cost!r}")
         # Fusing the negation should never price above the two-step form; a
         # profile violating that is suspicious but still usable. Comparing
         # counts componentwise flags only what is dearer at every ratio.
@@ -82,7 +92,7 @@ class CostProfile(SameClassEquality, _CostProfileFields):
                     f"cost profile {name!r}: {label} is dearer than the unfused "
                     "operation plus a negation, counting every field operation"
                 )
-        return super().__new__(cls, name, add_cost, dbl_cost, neg_cost, neg_add_cost, neg_dbl_cost)
+        return super().__new__(cls, name, *costs)
 
     def cost_of(self, kind: str) -> CostVector:
         if kind not in OP_KINDS:

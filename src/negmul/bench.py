@@ -3,10 +3,12 @@
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
 driver the chosen recoding form feeds, and counts each driver's runs by shape.
 A run's ledger is a function of its shape alone, so each shape class is
-priced once, by walk_ledgers, times the number of runs in it (order
-independent, so a fixed seed fully determines the report).
-The report keeps every figure as an exact rational; rendering rounds only at
-the very end, and only in table mode.
+priced once, by the walk's own formula (algorithms._walk_ledgers), times
+the number of runs in it (order independent, so a fixed seed fully
+determines the report). The report keeps every figure as an exact rational;
+rendering rounds only at the very end, and only in table mode. A saving
+against a cost of 0 is None, per step as for a whole multiplication: JSON
+null, "-" in the table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algorithms import ALGORITHMS, walk_ledgers
+from .algorithms import ALGORITHMS, _walk_ledgers
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     DEFAULT_RATIOS,
@@ -67,11 +69,15 @@ def algorithms_for_form(form: str) -> tuple[str, ...]:
 class _StepCostsFields(NamedTuple):
     plain: Fraction
     fused: Fraction
-    savings: Fraction
+    savings: Fraction | None
 
 
 class StepCosts(SameClassEquality, _StepCostsFields):
-    """Weighted cost of one plain step against its fused counterpart."""
+    """Weighted cost of one plain step against its fused counterpart.
+
+    savings is None when the plain step costs 0, as savings_vs_baseline is
+    for a baseline that costs 0.
+    """
 
     __slots__ = ()
 
@@ -134,7 +140,7 @@ class BenchReport(NamedTuple):
                 name: {
                     "plain": str(step.plain),
                     "fused": str(step.fused),
-                    "savings_percent": str(step.savings),
+                    "savings_percent": None if step.savings is None else str(step.savings),
                 }
                 for name, step in self.per_step.items()
             },
@@ -162,7 +168,7 @@ class BenchReport(NamedTuple):
             step = self.per_step[name]
             lines.append(
                 f"  {name:<6} {_decimal(step.plain):>10} {_decimal(step.fused):>10} "
-                f"{_decimal(step.savings):>8}%"
+                f"{_percent(step.savings):>9}"
             )
         lines += [
             "",
@@ -170,10 +176,7 @@ class BenchReport(NamedTuple):
             f"  {'algorithm':<14} {'mean cost':>12} {'saving vs baseline':>20}",
         ]
         for entry in self.algorithms:
-            if entry.savings_vs_baseline is None:
-                saving = "-"
-            else:
-                saving = f"{_decimal(entry.savings_vs_baseline)}%"
+            saving = _percent(entry.savings_vs_baseline)
             lines.append(f"  {entry.algo_id:<14} {_decimal(entry.mean_weighted):>12} {saving:>20}")
         return "\n".join(lines)
 
@@ -191,15 +194,13 @@ def run_bench(
     """Run every applicable driver over a seeded sample and aggregate exact costs."""
     if form not in RECODING_FORMS:
         raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
-    if not isinstance(profile, CostProfile):
-        raise ValueError(f"profile must be a CostProfile, got {profile!r}")
+    # Only shapes are read, so every driver runs from the identity of the
+    # one-element group Z/1, where a walk returns its shape and makes no
+    # group call. The wrapper refuses a profile that is not a CostProfile.
+    group = CostChargingGroup(ModularGroup(1), profile)
     if not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
     scalars = sample_scalars(bits, samples, seed)
-    # Only shapes are read, so every driver runs from the identity of the
-    # one-element group Z/1, where a walk returns its shape and makes no
-    # group call.
-    group = CostChargingGroup(ModularGroup(1), profile)
     D = group.identity
     algo_ids = algorithms_for_form(form)
     prices = prices_of(group)
@@ -243,7 +244,7 @@ def _ledger_of(shapes: Counter) -> CostLedger:
     """The summed ledger of the runs counted by shape: each class priced once."""
     total = CostLedger()
     for shape, runs in shapes.items():
-        for kind, count in walk_ledgers(*shape)[0].counts().items():
+        for kind, count in _walk_ledgers(*shape)[0].counts().items():
             total.charge(kind, count * runs)
     return total
 
@@ -251,8 +252,13 @@ def _ledger_of(shapes: Counter) -> CostLedger:
 def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:
     plain = weighted_total(plain_cost, ratios)
     fused = weighted_total(fused_cost, ratios)
-    savings = savings_percent(plain, fused) if plain > 0 else Fraction(0)
+    savings = savings_percent(plain, fused) if plain > 0 else None
     return StepCosts(plain, fused, savings)
+
+
+def _percent(savings: Fraction | None) -> str:
+    """A saving for the table: "-" where there is none, else its percentage."""
+    return "-" if savings is None else f"{_decimal(savings)}%"
 
 
 def _decimal(x: Fraction) -> str:

@@ -1,7 +1,6 @@
 """Tests for the scalar-multiplication drivers."""
 
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -27,12 +26,11 @@ from negmul import (
     prices_of,
     scalar_mul,
     verify_universal_agreement,
-    walk_ledgers,
     width_w_naf,
     windowed_neg_scalar_mul,
 )
 from negmul import algorithms
-from negmul.algorithms import _odd_multiples
+from negmul.algorithms import _odd_multiples, _walk_ledgers
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
@@ -408,7 +406,7 @@ def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
     assert (res.element.coefficient, res.trace) == (m, None), run
     assert res.ledger.counts() == g.calls, run
     # bench runs its drivers from the identity of Z/1 and reads only their
-    # ledgers, which walk_ledgers makes from the shape alone
+    # ledgers, which _walk_ledgers makes from the shape alone
     got = scalar_mul(m, TRIVIAL.identity, TRIVIAL, algo, form=form, width=width)
     assert (got.element, got.shape) == (0, res.shape), run
     if not traced:
@@ -539,7 +537,7 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
         assert {d: x.coefficient for d, x in table.items()} == {
             d: d for d in range(-bound, bound + 1) if d % 2
         }, bound
-        ledger, table_ledger = walk_ledgers(1, 1, False, True, True, False, bound)
+        ledger, table_ledger = _walk_ledgers(1, 1, False, True, True, False, bound)
         assert table_ledger.counts() == g.calls, bound
         assert ledger == table_ledger, bound  # one digit: no step, no closing negation
 
@@ -552,7 +550,7 @@ def test_ledgers_are_made_from_the_shape():
         assert read() == first and read() is not first
         first.charge("neg")
         assert read().count("neg") == first.count("neg") - 1
-    assert res.table_ledger == walk_ledgers(*res.shape)[1]
+    assert res.table_ledger == _walk_ledgers(*res.shape)[1]
     assert res.table_ledger.count("neg") == 4
 
     # scalar_mul's negation of the base is one more neg in the shape
@@ -565,37 +563,9 @@ def test_ledgers_are_made_from_the_shape():
     assert counts(scalar_mul(-1, Opaque(1), FreeGroup()).ledger) == {"neg": 1}
 
 
-def test_walk_ledgers_rejects_shapes_that_are_not_runs():
-    for length, weight in ((3, 5), (0, 0), (2, 0), (-1, -1)):
-        message = f"^a run needs 1 <= weight <= length, got weight {weight}, length {length}$"
-        with pytest.raises(ValueError, match=message):
-            walk_ledgers(length, weight, False, True, True, True, None)
-    for bound in (0, -3):
-        message = f"^table_bound must be None or at least 1, got {bound}$"
-        with pytest.raises(ValueError, match=message):
-            walk_ledgers(3, 2, False, True, True, False, bound)
-    for bad in (3.0, True, "3"):
-        for name, sizes in (("length", (bad, 1)), ("weight", (3, bad))):
-            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
-                walk_ledgers(*sizes, False, True, True, True, None)
-        message = f"^table_bound must be None or an integer, got {bad!r}$"
-        with pytest.raises(ValueError, match=message):
-            walk_ledgers(3, 2, False, True, True, False, bad)
-
-
-def test_walk_ledgers_takes_only_bool_flags():
-    flags = ("negative", "fuse_dbl", "fuse_add", "lookahead", "negated_base")
-    good = dict.fromkeys(flags, False)
-    for name in flags:
-        for bad in ("no", "", 0, 1, 2, None, 1.0):
-            shape = {**good, name: bad}
-            with pytest.raises(ValueError, match=f"^{name} must be a bool, got {re.escape(repr(bad))}$"):
-                walk_ledgers(3, 2, table_bound=None, **shape)
-
-
 def test_verify_makes_no_ledger(monkeypatch):
     calls = Counter()
-    charge, make_ledgers = CostLedger.charge, algorithms.walk_ledgers
+    charge, make_ledgers = CostLedger.charge, algorithms._walk_ledgers
 
     def counting_charge(self, kind, times=1):
         calls["charge"] += 1
@@ -606,7 +576,7 @@ def test_verify_makes_no_ledger(monkeypatch):
         return make_ledgers(*shape)
 
     monkeypatch.setattr(CostLedger, "charge", counting_charge)
-    monkeypatch.setattr(algorithms, "walk_ledgers", counting_walk_ledgers)
+    monkeypatch.setattr(algorithms, "_walk_ledgers", counting_walk_ledgers)
     assert verify_universal_agreement(max_n=11) == (6240, [])
     assert calls == {}
     # the counters see a ledger that is read

@@ -15,8 +15,11 @@ from negmul import (
     PICARD_PROFILE,
     CostChargingGroup,
     CostLedger,
+    CostProfile,
     CostRatios,
+    CostVector,
     ModularGroup,
+    ZERO_COST,
     algorithms_for_form,
     prices_of,
     run_bench,
@@ -24,6 +27,7 @@ from negmul import (
     savings_percent,
     weighted_total,
 )
+from negmul.bench import StepCosts
 from negmul.recoding import recode
 
 from oracles import FreeGroup, Opaque
@@ -108,6 +112,24 @@ def test_hyperelliptic_bench_savings_are_exactly_zero():
             assert entry.savings_vs_baseline == 0
         assert report.per_step["add"].savings == 0
         assert report.per_step["dbl"].savings == 0
+
+
+def test_a_free_plain_step_has_no_per_step_saving():
+    # plain steps cost nothing and each fused one costs 1M: no saving to state
+    with pytest.warns(UserWarning, match="dearer"):
+        free = CostProfile("free-plain", *[ZERO_COST] * 3, CostVector(1), CostVector(1))
+    report = run_bench(free, bits=16, samples=4, seed=1)
+    for name in ("add", "dbl"):
+        assert report.per_step[name] == StepCosts(Fraction(0), Fraction(1), None)
+        assert report.to_dict()["per_step"][name]["savings_percent"] is None
+    # the baseline is free too, so no whole-multiplication saving either
+    assert [entry.savings_vs_baseline for entry in report.algorithms] == [None] * 5
+    table = report.render_table().splitlines()
+    assert table[6:8] == [
+        "  add             0      1.000         -",
+        "  dbl             0      1.000         -",
+    ]
+    assert "0%" not in report.render_table()
 
 
 def test_wnaf_bench_runs_windowed_driver():

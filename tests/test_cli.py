@@ -79,13 +79,13 @@ def test_mul_neg_driver(capsys):
 
 def test_mul_makes_one_ledger(monkeypatch, capsys):
     calls = []
-    make_ledgers = algorithms.walk_ledgers
+    make_ledgers = algorithms._walk_ledgers
 
     def counting_walk_ledgers(*shape):
         calls.append(shape)
         return make_ledgers(*shape)
 
-    monkeypatch.setattr(algorithms, "walk_ledgers", counting_walk_ledgers)
+    monkeypatch.setattr(algorithms, "_walk_ledgers", counting_walk_ledgers)
     rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "-17", "--algo", "neg")
     assert rc == 0
     assert out == "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n"

@@ -1,6 +1,7 @@
 """Tests for the group interface, the modular oracle and the cost backends."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,28 @@ def test_profile_does_not_warn_when_fused_is_cheaper_at_some_ratios(recwarn):
         neg_dbl_cost=CostVector(10),
     )
     assert not [w for w in recwarn if "dearer" in str(w.message)]
+
+
+def test_profile_checks_its_fields():
+    # refused by field before the dearer-than-unfused check reads the costs
+    for args, field, bad in (((1, 2, 3, 4, 5), "add_cost", 1), ((1, 2, 3, 5, 5), "add_cost", 1)):
+        with pytest.raises(ValueError, match=f"^{field} must be a CostVector, got {bad!r}$"):
+            CostProfile("x", *args)
+    costs = dict.fromkeys(CostProfile._fields[1:], ZERO_COST)
+    for bad in (1, None, (144, 12, 2, 0)):
+        message = f"^{{}} must be a CostVector, got {re.escape(repr(bad))}$"
+        for field in costs:
+            with pytest.raises(ValueError, match=message.format(field)):
+                CostProfile("x", **{**costs, field: bad})
+            # _replace builds through the same checks
+            with pytest.raises(ValueError, match=message.format(field)):
+                PICARD_PROFILE._replace(**{field: bad})
+    for bad in (1, None, b"picard", ("picard",)):
+        message = f"^name must be a str, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            CostProfile(bad, **costs)
+        with pytest.raises(ValueError, match=message):
+            PICARD_PROFILE._replace(name=bad)
 
 
 VALID_PROFILE = {
