@@ -90,7 +90,8 @@ class CostProfile(SameClassEquality, _CostProfileFields):
             if fused != unfused and all(a >= b for a, b in zip(fused, unfused)):
                 warnings.warn(
                     f"cost profile {name!r}: {label} is dearer than the unfused "
-                    "operation plus a negation, counting every field operation"
+                    "operation plus a negation, counting every field operation",
+                    stacklevel=2,
                 )
         return super().__new__(cls, name, *costs)
 

@@ -267,6 +267,8 @@ def _decimal(x: Fraction) -> str:
     if value == 0:
         return "0"
     decimals = 3 - math.floor(math.log10(abs(value)))
+    # again from the rounded value, in case rounding carried into the next decade
+    decimals = 3 - math.floor(math.log10(abs(round(value, decimals))))
     if decimals <= 0:
         return f"{round(value, decimals):.0f}"
     return f"{value:.{decimals}f}"

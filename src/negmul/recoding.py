@@ -27,7 +27,11 @@ class SignedExpansion:
     table convention). The leading digit of a nonempty expansion must be
     positive: these are expansions of nonnegative integers only.
 
-    weight, the number of nonzero digits, is stored beside the digits: this
+    The constructor checks the bound, then each digit in order, so that an
+    error names the first bad one, then the leading digit; it builds the
+    instance through _trusted, as the recodings do.
+
+    weight, the number of nonzero digits, is stored beside the digits: the
     constructor counts it once after its checks, and each recoding passes the
     count it made along the way to _trusted, so no reader rescans the digits.
     It is derived from the digits, so equality, hashing and pickling use the
@@ -40,24 +44,20 @@ class SignedExpansion:
     digit_bound: int
     weight: int
 
-    def __init__(self, digits: tuple[int, ...], digit_bound: int = 1) -> None:
+    def __new__(cls, digits: tuple[int, ...], digit_bound: int = 1) -> SignedExpansion:
         digits = tuple(digits)
         if not isinstance(digit_bound, int) or isinstance(digit_bound, bool) or digit_bound < 1:
             raise ValueError(f"digit_bound must be a positive integer, got {digit_bound!r}")
-        # Each distinct digit is checked once; only a failure scans the digits
-        # in order, so that the message names the first bad one.
-        if not set(map(type, digits)) <= {int} or any(
-            _digit_error(d, digit_bound) for d in set(digits)
-        ):
-            for d in digits:
-                error = _digit_error(d, digit_bound)
-                if error:
-                    raise ValueError(error)
+        for d in digits:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ValueError(f"digits must be integers, got {d!r}")
+            if abs(d) > digit_bound:
+                raise ValueError(f"digit {d} exceeds bound {digit_bound}")
+            if digit_bound > 1 and d and d % 2 == 0:
+                raise ValueError(f"nonzero digits must be odd under bound {digit_bound}, got {d}")
         if digits and digits[0] <= 0:
             raise ValueError(f"leading digit must be positive, got {digits[0]}")
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "digit_bound", digit_bound)
-        object.__setattr__(self, "weight", len(digits) - digits.count(0))
+        return _trusted(digits, digit_bound, len(digits) - digits.count(0))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"SignedExpansion is immutable; cannot assign {name!r}")
@@ -100,11 +100,12 @@ _set_weight = SignedExpansion.weight.__set__
 
 
 def _trusted(digits: tuple[int, ...], digit_bound: int, weight: int) -> SignedExpansion:
-    """The SignedExpansion of digits a recoding made, built without re-checking them.
+    """The SignedExpansion of digits, built without checking them.
 
-    weight is the count of nonzero digits the recoding made, taken as given.
-    Only the recodings below call it; the tests rebuild their outputs through
-    SignedExpansion(...), which checks every digit and counts the weight.
+    weight is the count of nonzero digits, taken as given. This is the only
+    code that writes the three slots: the recodings below call it with the
+    digits and weight they made, and SignedExpansion(...) calls it after
+    checking every digit and counting the weight.
     """
     e = object.__new__(SignedExpansion)
     _set_digits(e, digits)
@@ -212,17 +213,6 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 def _bits(m: int) -> bytes:
     """m's base-2 digits as bytes of 0s and 1s, most-significant first."""
     return format(m, "b").encode().translate(_BIT_VALUES)
-
-
-def _digit_error(d: int, bound: int) -> str | None:
-    """Why d cannot be a digit under bound, or None if it can."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        return f"digits must be integers, got {d!r}"
-    if abs(d) > bound:
-        return f"digit {d} exceeds bound {bound}"
-    if bound > 1 and d and d % 2 == 0:
-        return f"nonzero digits must be odd under bound {bound}, got {d}"
-    return None
 
 
 def _require_nonnegative(m: int) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ from negmul import (
     savings_percent,
     weighted_total,
 )
-from negmul.bench import StepCosts
+from negmul.bench import StepCosts, _decimal
 from negmul.recoding import recode
 
 from oracles import FreeGroup, Opaque
@@ -221,6 +222,34 @@ def test_ratio_override_changes_per_step_savings():
     assert report.per_step["add"].plain == 352
     assert report.per_step["add"].fused == 339
     assert report.per_step["add"].savings == savings_percent(352, 339)
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        # rounding carries into the next decade: still 4 significant digits
+        (Fraction(99996, 10000), "10.00"),
+        (Fraction(999996, 1000), "1000"),
+        (Fraction(-99996, 10000), "-10.00"),
+        # no carry
+        (Fraction(99994, 10000), "9.999"),
+        (Fraction(7044, 1000), "7.044"),
+        (Fraction(1, 3), "0.3333"),
+        (Fraction(33690), "33690"),
+    ],
+)
+def test_decimal_renders_four_significant_digits(x, text):
+    assert _decimal(x) == text
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(block, {})
+    element, counts, total = capsys.readouterr().out.splitlines()
+    assert element == str(741 * 5 % 1009)
+    assert f"# {counts}" in block
+    assert re.fullmatch(r"\d+/\d+", total) and Fraction(total) == Fraction(7217, 3)
 
 
 @pytest.mark.parametrize(

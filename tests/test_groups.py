@@ -183,7 +183,7 @@ def test_profile_cost_of_rejects_unknown_kind():
 
 
 def test_profile_warns_when_fused_is_dearer():
-    with pytest.warns(UserWarning, match="dearer"):
+    with pytest.warns(UserWarning, match="dearer") as record:
         CostProfile(
             "odd",
             add_cost=CostVector(10),
@@ -192,6 +192,8 @@ def test_profile_warns_when_fused_is_dearer():
             neg_add_cost=CostVector(11),
             neg_dbl_cost=CostVector(10),
         )
+    # the warning names the line that built the profile, not the library
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_profile_does_not_warn_when_fused_is_cheaper_at_some_ratios(recwarn):
