@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import os
+import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +47,20 @@ class ModularGroup(NegationAwareGroup):
 
     def __repr__(self) -> str:
         return f"ModularGroup({self.n})"
+
+
+# The dearer-profile warning names the first line outside these directories:
+# this package's (CostProfile, _make, load_profile) and collections' (the
+# namedtuple _replace that calls _make).
+_LIBRARY_DIRS = tuple(os.path.dirname(path) + os.sep for path in (__file__, collections.__file__))
+
+
+def _caller_stacklevel() -> int:
+    """The warnings stacklevel, seen from the caller, of its first frame outside _LIBRARY_DIRS."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_LIBRARY_DIRS):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class _CostProfileFields(NamedTuple):
@@ -91,7 +108,7 @@ class CostProfile(SameClassEquality, _CostProfileFields):
                 warnings.warn(
                     f"cost profile {name!r}: {label} is dearer than the unfused "
                     "operation plus a negation, counting every field operation",
-                    stacklevel=2,
+                    stacklevel=_caller_stacklevel(),
                 )
         return super().__new__(cls, name, *costs)
 

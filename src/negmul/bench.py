@@ -2,21 +2,24 @@
 
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
 driver the chosen recoding form feeds, and counts each driver's runs by shape.
-A run's ledger is a function of its shape alone, so each shape class is
-priced once, by the walk's own formula (algorithms._walk_ledgers), times
-the number of runs in it (order independent, so a fixed seed fully
-determines the report). The report keeps every figure as an exact rational;
-rendering rounds only at the very end, and only in table mode. A saving
-against a cost of 0 is None, per step as for a whole multiplication: JSON
-null, "-" in the table.
+A run's op counts are a function of its shape alone: the walk's own formula
+(algorithms._walk_ledgers) derives them once per distinct shape per process
+(_shape_counts, memoised), and each driver's counts are summed over its
+shape classes, times the runs in each, before any price is applied (order
+independent, so a fixed seed fully determines the report). The report keeps
+every figure as an exact rational; rendering rounds only at the very end,
+and only in table mode. A saving against a cost of 0 is None, per step as
+for a whole multiplication: JSON null, "-" in the table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algorithms import ALGORITHMS, _walk_ledgers
@@ -35,6 +38,9 @@ from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
 MIN_BITS, MAX_BITS = 8, 4096
+# Scalars whose run shapes are listed before they are counted; bounds the
+# shapes held at once, whatever the sample size.
+_SHAPE_BATCH = 1024
 
 
 def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
@@ -205,21 +211,27 @@ def run_bench(
     algo_ids = algorithms_for_form(form)
     prices = prices_of(group)
     shapes = {algo: Counter() for algo in algo_ids}
-    runs = [(shapes[algo], ALGORITHMS[algo].run) for algo in algo_ids]
-    for m in scalars:
-        if form == "binary":
-            e = binary_expansion(m)
-        elif form == "naf":
-            e = naf(m)
-        else:
-            e = width_w_naf(m, width)
-        for counted, run in runs:
-            counted[run(e, D, group, False).shape] += 1
+    listed = {algo: [] for algo in algo_ids}
+    runs = [(ALGORITHMS[algo].run, listed[algo].append) for algo in algo_ids]
+    for start in range(0, samples, _SHAPE_BATCH):
+        for m in scalars[start : start + _SHAPE_BATCH]:
+            if form == "binary":
+                e = binary_expansion(m)
+            elif form == "naf":
+                e = naf(m)
+            else:
+                e = width_w_naf(m, width)
+            for run, record in runs:
+                record(run(e, D, group, False).shape)
+        for algo in algo_ids:
+            shapes[algo].update(listed[algo])
+            listed[algo].clear()
     totals = {algo: _ledger_of(shapes[algo]) for algo in algo_ids}
-    base_total = weighted_total(totals["baseline"].total(prices), ratios)
+    weighted = {algo: weighted_total(totals[algo].total(prices), ratios) for algo in algo_ids}
+    base_total = weighted["baseline"]
     entries = []
     for algo in algo_ids:
-        total = weighted_total(totals[algo].total(prices), ratios)
+        total = weighted[algo]
         savings = savings_percent(base_total, total) if base_total > 0 else None
         entries.append(AlgorithmEntry(algo, totals[algo], total, total / samples, savings))
     per_step = {
@@ -240,12 +252,28 @@ def run_bench(
     )
 
 
+@lru_cache(maxsize=4096)
+def _shape_counts(shape: tuple) -> tuple[int, ...]:
+    """One run's op counts, in OP_KINDS order, from its shape; memoised per process.
+
+    The memo holds counts only, never prices, so it serves every profile and
+    ratio alike.
+    """
+    counts = _walk_ledgers(*shape)[0].counts()
+    return tuple(counts[kind] for kind in OP_KINDS)
+
+
 def _ledger_of(shapes: Counter) -> CostLedger:
-    """The summed ledger of the runs counted by shape: each class priced once."""
+    """The summed ledger of the runs counted by shape.
+
+    Each class's op counts come from the per-process memo _shape_counts and
+    are summed, times the runs in each class, per kind into one ledger,
+    which is priced only when read.
+    """
+    runs = shapes.values()
     total = CostLedger()
-    for shape, runs in shapes.items():
-        for kind, count in _walk_ledgers(*shape)[0].counts().items():
-            total.charge(kind, count * runs)
+    for kind, counts in zip(OP_KINDS, zip(*map(_shape_counts, shapes))):
+        total.charge(kind, sum(map(operator.mul, counts, runs)))
     return total
 
 

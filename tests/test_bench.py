@@ -28,7 +28,8 @@ from negmul import (
     savings_percent,
     weighted_total,
 )
-from negmul.bench import StepCosts, _decimal
+import negmul.bench
+from negmul.bench import StepCosts, _decimal, _shape_counts
 from negmul.recoding import recode
 
 from oracles import FreeGroup, Opaque
@@ -204,6 +205,59 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
                 assert entry.ledger == merged, (seed, form, width, entry.algo_id)
                 total = weighted_total(merged.total(prices))
                 assert entry.total_weighted == total, (seed, form, width, entry.algo_id)
+
+
+def test_shape_count_memo_serves_every_profile_and_ratio(monkeypatch):
+    custom = CostProfile(
+        "custom",
+        add_cost=CostVector(mul=9, add_f=4),
+        dbl_cost=CostVector(sqr=7, inv=1),
+        neg_cost=CostVector(add_f=2),
+        neg_add_cost=CostVector(mul=8, add_f=5),
+        neg_dbl_cost=CostVector(mul=1, sqr=6, inv=1),
+    )
+    profiles = [
+        (PICARD_PROFILE, DEFAULT_RATIOS),
+        (HYPERELLIPTIC_PROFILE, DEFAULT_RATIOS),
+        (custom, CostRatios(Fraction(1, 2), 7, Fraction(1, 10))),
+    ]
+    calls = [
+        (profile, ratios, form, width)
+        for form, width in [("naf", 4), ("binary", 4)] + [("wnaf", w) for w in range(2, 7)]
+        for profile, ratios in profiles
+    ]
+
+    def bench_json(profile, ratios, form, width):
+        kwargs = dict(bits=40, samples=30, form=form, width=width, ratios=ratios, seed=5)
+        return run_bench(profile, **kwargs).to_json()
+
+    cold = []
+    for call in calls:
+        _shape_counts.cache_clear()
+        cold.append(bench_json(*call))
+
+    walked = []
+    walk_ledgers = negmul.bench._walk_ledgers
+
+    def counting_walk_ledgers(*shape):
+        walked.append(shape)
+        return walk_ledgers(*shape)
+
+    monkeypatch.setattr(negmul.bench, "_walk_ledgers", counting_walk_ledgers)
+    _shape_counts.cache_clear()
+    # profiles interleaved, so most calls read counts another profile cached
+    assert [bench_json(*call) for call in calls] == cold
+    info = _shape_counts.cache_info()
+    assert info.currsize == len(walked) == len(set(walked)) <= 4096
+    assert info.hits > info.misses
+    for shape in walked:
+        counts = _shape_counts(shape)
+        assert len(counts) == len(OP_KINDS) and all(type(count) is int for count in counts)
+    assert _shape_counts.cache_info().hits == info.hits + len(walked)
+
+    walked.clear()
+    assert bench_json(*calls[-1]) == cold[-1]
+    assert walked == []
 
 
 def test_render_table_shows_exact_headline_numbers():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negmul import (
     DEFAULT_RATIOS,
@@ -242,6 +244,32 @@ def test_ledger_total_equals_sum_over_kinds():
         summed = summed + ledger.vector(kind, prices)
     assert ledger.total(prices) == summed
     assert ledger.counts() == charged
+
+
+counts_st = st.integers(0, 1 << 70)
+vectors_st = st.builds(CostVector, counts_st, counts_st, counts_st, counts_st)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    counts=st.fixed_dictionaries({kind: counts_st for kind in OP_KINDS}),
+    prices=st.fixed_dictionaries({kind: vectors_st for kind in OP_KINDS}),
+)
+def test_ledger_total_is_the_sum_of_its_priced_kinds(counts, prices):
+    ledger = CostLedger()
+    for kind, count in counts.items():
+        ledger.charge(kind, count)
+    expected = sum((ledger.vector(kind, prices) for kind in OP_KINDS), ZERO_COST)
+    assert ledger.total(prices) == expected
+
+
+def test_ledger_total_refuses_prices_that_are_not_cost_vectors():
+    ledger = CostLedger()
+    ledger.charge("add", 2)
+    for bad in ((144, 12, 2, 0), None, "144M"):
+        prices = {**PICARD_PRICES, "neg": bad}
+        with pytest.raises(TypeError, match="a price must be a CostVector"):
+            ledger.total(prices)
 
 
 def test_ledger_rejects_unknown_kind():

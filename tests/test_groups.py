@@ -194,6 +194,10 @@ def test_profile_warns_when_fused_is_dearer():
         )
     # the warning names the line that built the profile, not the library
     assert [w.filename for w in record] == [__file__]
+    # through _replace (collections) and _make (negmul.costs) too
+    with pytest.warns(UserWarning, match="dearer") as record:
+        PICARD_PROFILE._replace(neg_add_cost=CostVector(mul=200, sqr=20, inv=3))
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_profile_does_not_warn_when_fused_is_cheaper_at_some_ratios(recwarn):
