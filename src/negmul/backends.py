@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import collections
-import os
 import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+from . import costs
 from .costs import OP_KINDS, CostRatios, CostVector, SameClassEquality
 from .groups import Element, NegationAwareGroup
 
@@ -49,16 +49,17 @@ class ModularGroup(NegationAwareGroup):
         return f"ModularGroup({self.n})"
 
 
-# The dearer-profile warning names the first line outside these directories:
-# this package's (CostProfile, _make, load_profile) and collections' (the
-# namedtuple _replace that calls _make).
-_LIBRARY_DIRS = tuple(os.path.dirname(path) + os.sep for path in (__file__, collections.__file__))
+# The dearer-profile warning names the first line outside the files that
+# build a profile: this one (CostProfile, load_profile), costs.py (_make)
+# and collections (the namedtuple _replace that calls _make). Under the CLI
+# that is the line of cli.py that loads the profile file.
+_PROFILE_BUILDERS = frozenset((__file__, costs.__file__, collections.__file__))
 
 
 def _caller_stacklevel() -> int:
-    """The warnings stacklevel, seen from the caller, of its first frame outside _LIBRARY_DIRS."""
+    """The warnings stacklevel, seen from the caller, of its first frame outside _PROFILE_BUILDERS."""
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_LIBRARY_DIRS):
+    while frame is not None and frame.f_code.co_filename in _PROFILE_BUILDERS:
         frame, level = frame.f_back, level + 1
     return level
 

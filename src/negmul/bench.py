@@ -257,7 +257,8 @@ def _shape_counts(shape: tuple) -> tuple[int, ...]:
     """One run's op counts, in OP_KINDS order, from its shape; memoised per process.
 
     The memo holds counts only, never prices, so it serves every profile and
-    ratio alike.
+    ratio alike. Its hits come from earlier bench calls in the same process:
+    within one call the Counter has already grouped each driver's shapes.
     """
     counts = _walk_ledgers(*shape)[0].counts()
     return tuple(counts[kind] for kind in OP_KINDS)

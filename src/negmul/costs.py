@@ -11,7 +11,6 @@ comparisons in tests need no tolerance.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Mapping, NamedTuple, NoReturn
 
@@ -190,12 +189,7 @@ class CostLedger:
 
     def total(self, prices: Mapping[str, CostVector]) -> CostVector:
         """Componentwise sum over all operation kinds, at the given prices."""
-        vectors = [prices[kind] for kind in OP_KINDS]
-        for vector in vectors:
-            if not isinstance(vector, CostVector):
-                raise TypeError(f"a price must be a CostVector, got {vector!r}")
-        counts = self._counts.values()
-        return CostVector(*(sum(map(operator.mul, counts, column)) for column in zip(*vectors)))
+        return sum((self.vector(kind, prices) for kind in OP_KINDS), ZERO_COST)
 
     def merge(self, other: CostLedger) -> None:
         """Fold another run's counts into this ledger."""

@@ -29,7 +29,7 @@ from negmul import (
     weighted_total,
 )
 import negmul.bench
-from negmul.bench import StepCosts, _decimal, _shape_counts
+from negmul.bench import _SHAPE_BATCH, StepCosts, _decimal, _shape_counts
 from negmul.recoding import recode
 
 from oracles import FreeGroup, Opaque
@@ -194,17 +194,20 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
     prices = prices_of(group)
     D = Opaque(1)
     runs = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
-    for seed in (0, 1, 2, 3):
-        for form, width in runs:
-            report = run_bench(profile, bits=24, samples=60, form=form, width=width, seed=seed)
-            for entry in report.algorithms:
-                merged = CostLedger()
-                for m in sample_scalars(24, 60, seed):
-                    e = recode(m, form, width)
-                    merged.merge(ALGORITHMS[entry.algo_id].run(e, D, group, False).ledger)
-                assert entry.ledger == merged, (seed, form, width, entry.algo_id)
-                total = weighted_total(merged.total(prices))
-                assert entry.total_weighted == total, (seed, form, width, entry.algo_id)
+    cases = [(24, 60, seed, form, width) for seed in (0, 1, 2, 3) for form, width in runs]
+    # more than two batches of run shapes, folded into each driver's counts
+    cases += [(8, 2 * _SHAPE_BATCH + 1, 0, form, width) for form, width in runs]
+    for case in cases:
+        bits, samples, seed, form, width = case
+        report = run_bench(profile, bits=bits, samples=samples, form=form, width=width, seed=seed)
+        for entry in report.algorithms:
+            merged = CostLedger()
+            for m in sample_scalars(bits, samples, seed):
+                e = recode(m, form, width)
+                merged.merge(ALGORITHMS[entry.algo_id].run(e, D, group, False).ledger)
+            assert entry.ledger == merged, (case, entry.algo_id)
+            total = weighted_total(merged.total(prices))
+            assert entry.total_weighted == total, (case, entry.algo_id)
 
 
 def test_shape_count_memo_serves_every_profile_and_ratio(monkeypatch):

@@ -242,6 +242,18 @@ def test_bench_custom_profile(tmp_path, capsys):
     assert report["per_step"]["add"]["fused"] == "13"
 
 
+def test_bench_dearer_profile_warning_names_the_cli_line_that_loads_it(tmp_path, capsys):
+    data = {kind: {"M": 10} for kind in ("add", "dbl", "neg_add", "neg_dbl")}
+    data["neg"] = {}
+    data["neg_add"]["M"] = 11
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="cost profile 'odd'") as record:
+        rc, _ = run_cli(capsys, "bench", "custom", "--profile", str(path), "--bits", "16", "--samples", "2")
+    assert rc == 0
+    assert [w.filename for w in record] == [cli.__file__]
+
+
 def test_bench_custom_requires_profile(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "custom"])

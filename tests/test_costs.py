@@ -259,17 +259,9 @@ def test_ledger_total_is_the_sum_of_its_priced_kinds(counts, prices):
     ledger = CostLedger()
     for kind, count in counts.items():
         ledger.charge(kind, count)
-    expected = sum((ledger.vector(kind, prices) for kind in OP_KINDS), ZERO_COST)
+    # componentwise in plain ints, not through scaled and +
+    expected = CostVector(*(sum(counts[kind] * prices[kind][i] for kind in OP_KINDS) for i in range(4)))
     assert ledger.total(prices) == expected
-
-
-def test_ledger_total_refuses_prices_that_are_not_cost_vectors():
-    ledger = CostLedger()
-    ledger.charge("add", 2)
-    for bad in ((144, 12, 2, 0), None, "144M"):
-        prices = {**PICARD_PRICES, "neg": bad}
-        with pytest.raises(TypeError, match="a price must be a CostVector"):
-            ledger.total(prices)
 
 
 def test_ledger_rejects_unknown_kind():
