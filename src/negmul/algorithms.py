@@ -1,9 +1,10 @@
 """Scalar-multiplication drivers over a negation-aware group.
 
 Every driver walks a signed-digit expansion most-significant digit first and
-returns the product together with the shape of its run, from which the
-private formula _walk_ledgers makes a ledger of the group operations it
-performed on each read.
+returns the product together with the shape of its run. One memoised
+integer formula, _shape_counts, turns a shape into the counts of the group
+operations the run performed, and a fresh ledger is made from them on each
+read.
 The negating drivers keep the intermediate result correct only up
 to sign: a one-bit flag f counts negations mod 2 and maintains
 
@@ -23,9 +24,10 @@ recoding forms it runs on, default first, and a runner for it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .costs import CostLedger
+from .costs import CostLedger, _ledger
 from .groups import Element, NegationAwareGroup
 from .recoding import SignedExpansion, recode
 
@@ -43,13 +45,13 @@ class TraceStep(NamedTuple):
 class MulResult(NamedTuple):
     """Product element, the shape of the run that produced it, and its trace.
 
-    shape is _walk_ledgers' arguments for the run. ledger counts the group
+    shape is what _shape_counts reads of the run. ledger counts the group
     operations a run from any base but the identity performs (an untraced
     run from the identity makes none, see _walk); table_ledger is the part
     of it spent building the odd-multiples table, or None when the run was
-    given no table bound. Both are made from the shape by _walk_ledgers on
-    each read, so every read is a fresh ledger and a charge to one does not
-    persist.
+    given no table bound. Both are made from _shape_counts' memoised counts
+    on each read, so every read is a fresh ledger and a charge to one does
+    not persist.
     _walk builds its results through tuple.__new__ (_new_result), skipping
     the Python frame of the generated __new__, which every run would pay.
     """
@@ -60,52 +62,49 @@ class MulResult(NamedTuple):
 
     @property
     def ledger(self) -> CostLedger:
-        return _walk_ledgers(*self.shape)[0]
+        return _ledger(_shape_counts(self.shape)[0])
 
     @property
     def table_ledger(self) -> CostLedger | None:
-        return _walk_ledgers(*self.shape)[1]
+        table = _shape_counts(self.shape)[1]
+        return None if table is None else _ledger(table)
 
 
-def _walk_ledgers(
-    length: int,
-    weight: int,
-    negative: bool,
-    fuse_dbl: bool,
-    fuse_add: bool,
-    lookahead: bool,
-    table_bound: int | None,
-    negated_base: bool = False,
-) -> tuple[CostLedger, CostLedger | None]:
-    """The ledger of one walk, and of its table, from the expansion's shape alone.
+@lru_cache(maxsize=4096)
+def _shape_counts(shape: tuple) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The op counts of one walk, and of its table, from the run's shape alone.
 
-    length and weight are the expansion's; negative says whether a digit is
-    negative, which only a walk with neither a table nor a fused step reads;
-    negated_base says scalar_mul negated D first. The rest are _walk's. The
-    count: the odd-multiples table up to table_bound, or up to 1 (-D) when a
-    step is fused or a digit is negative (one dbl when the bound is >= 3,
-    entries - 1 adds and one neg per entry); length - 1 doublings and
-    weight - 1 additions of the chosen kinds; a closing neg exactly when there
-    is no lookahead and (length - 1) * fuse_dbl + (weight - 1) * fuse_add is
-    odd; and a neg for a negated base. Its shapes come only from _walk, which
-    has accepted the expansion, and from scalar_mul, so it checks none.
+    Both are in OP_KINDS order; the table's are None when the run was given
+    no table bound. The shape is (length, weight, negative, fuse_dbl,
+    fuse_add, lookahead, table_bound), then True when scalar_mul negated D
+    first: length and weight are the expansion's; negative says whether a
+    digit is negative, which only a walk with neither a table nor a fused
+    step reads; the rest are _walk's. The count: the odd-multiples table up
+    to table_bound, or up to 1 (-D) when a step is fused or a digit is
+    negative (one dbl when the bound is >= 3, entries - 1 adds and one neg
+    per entry); length - 1 doublings and weight - 1 additions of the chosen
+    kinds; a closing neg exactly when there is no lookahead and
+    (length - 1) * fuse_dbl + (weight - 1) * fuse_add is odd; and a neg for
+    a negated base. Its shapes come only from _walk, which has accepted the
+    expansion, and from scalar_mul, so it checks none. Memoised per process
+    (a fixed 4,096 shapes): the memo holds counts only, never prices, so it
+    serves every profile and ratio, and every read makes its own ledger.
     """
-    ledger = CostLedger()
+    length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound = shape[:7]
+    entries = 0
     if table_bound is not None or fuse_dbl or fuse_add or negative:
         entries = ((table_bound or 1) + 1) // 2
-        if entries > 1:
-            ledger.charge("dbl")
-            ledger.charge("add", entries - 1)
-        ledger.charge("neg", entries)
-    table_ledger = None if table_bound is None else ledger.copy()
+    table_adds, table_dbls = max(entries - 1, 0), int(entries > 1)
     doublings, additions = length - 1, weight - 1
-    ledger.charge("neg_dbl" if fuse_dbl else "dbl", doublings)
-    ledger.charge("neg_add" if fuse_add else "add", additions)
-    if not lookahead and (doublings * fuse_dbl + additions * fuse_add) % 2:
-        ledger.charge("neg")
-    if negated_base:
-        ledger.charge("neg")
-    return ledger, table_ledger
+    closing_neg = not lookahead and (doublings * fuse_dbl + additions * fuse_add) % 2
+    run = (
+        table_adds + (0 if fuse_add else additions),
+        table_dbls + (0 if fuse_dbl else doublings),
+        entries + closing_neg + (shape[7:] == (True,)),
+        additions if fuse_add else 0,
+        doublings if fuse_dbl else 0,
+    )
+    return run, None if table_bound is None else (table_adds, table_dbls, entries, 0, 0)
 
 
 # the shape of a run that performs no group operation
@@ -152,13 +151,13 @@ def _walk(
     f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
     absorbs every flip the loop makes, so the flag closes at 0; without it
     the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. The addends are the one table policy, the table _walk_ledgers
-    charges: _odd_multiples up to table_bound, or up to 1 ({D, -D}) when
+    at 1. The addends are the one table policy, the table _shape_counts
+    counts: _odd_multiples up to table_bound, or up to 1 ({D, -D}) when
     the walk can flip or a digit is negative, else D alone. The drivers pass
     table_bound=e.digit_bound or none, so the expansion owns its table.
     The loop counts nothing: the result records the run's shape (length,
     the weight e's recoding stored, negative and these parameters) for
-    _walk_ledgers, which prices it unchecked, so these refusals are the
+    _shape_counts, which counts it unchecked, so these refusals are the
     only check a shape gets; no digit is scanned to count it. Every driver
     run pays this function's fixed work, so untraced it makes no Python call
     but the group's and _odd_multiples.

@@ -2,10 +2,10 @@
 
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
 driver the chosen recoding form feeds, and counts each driver's runs by shape.
-A run's op counts are a function of its shape alone: the walk's own formula
-(algorithms._walk_ledgers) derives them once per distinct shape per process
-(_shape_counts, memoised), and each driver's counts are summed over its
-shape classes, times the runs in each, before any price is applied (order
+A run's op counts are a function of its shape alone: the walk's own formula,
+algorithms._shape_counts, derives them once per distinct shape per process
+(it is memoised), and each driver's counts are summed over its shape
+classes, times the runs in each, before any price is applied (order
 independent, so a fixed seed fully determines the report). The report keeps
 every figure as an exact rational; rendering rounds only at the very end,
 and only in table mode. A saving against a cost of 0 is None, per step as
@@ -19,10 +19,11 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
-from .algorithms import ALGORITHMS, _walk_ledgers
+from .algorithms import ALGORITHMS, _shape_counts
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     DEFAULT_RATIOS,
@@ -31,6 +32,7 @@ from .costs import (
     CostRatios,
     CostVector,
     SameClassEquality,
+    _ledger,
     savings_percent,
     weighted_total,
 )
@@ -38,9 +40,9 @@ from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
 MIN_BITS, MAX_BITS = 8, 4096
-# Scalars whose run shapes are listed before they are counted; bounds the
-# shapes held at once, whatever the sample size.
-_SHAPE_BATCH = 1024
+# Scalars recoded at once, each expansion then run by every driver; bounds
+# the expansions held at once, whatever the sample size or bit length.
+_RECODE_BATCH = 32
 
 
 def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
@@ -210,23 +212,21 @@ def run_bench(
     D = group.identity
     algo_ids = algorithms_for_form(form)
     prices = prices_of(group)
-    shapes = {algo: Counter() for algo in algo_ids}
-    listed = {algo: [] for algo in algo_ids}
-    runs = [(ALGORITHMS[algo].run, listed[algo].append) for algo in algo_ids]
-    for start in range(0, samples, _SHAPE_BATCH):
-        for m in scalars[start : start + _SHAPE_BATCH]:
-            if form == "binary":
-                e = binary_expansion(m)
-            elif form == "naf":
-                e = naf(m)
-            else:
-                e = width_w_naf(m, width)
-            for run, record in runs:
-                record(run(e, D, group, False).shape)
+    if form == "binary":
+        expand = binary_expansion
+    elif form == "naf":
+        expand = naf
+    else:
+        expand = partial(width_w_naf, w=width)
+    # Every run is from the identity, untraced, so its result is
+    # (identity, shape, None): results are equal exactly when shapes are.
+    results = {algo: Counter() for algo in algo_ids}
+    for start in range(0, samples, _RECODE_BATCH):
+        expansions = list(map(expand, scalars[start : start + _RECODE_BATCH]))
         for algo in algo_ids:
-            shapes[algo].update(listed[algo])
-            listed[algo].clear()
-    totals = {algo: _ledger_of(shapes[algo]) for algo in algo_ids}
+            run = ALGORITHMS[algo].run
+            results[algo].update(map(run, expansions, repeat(D), repeat(group), repeat(False)))
+    totals = {algo: _ledger_of(results[algo]) for algo in algo_ids}
     weighted = {algo: weighted_total(totals[algo].total(prices), ratios) for algo in algo_ids}
     base_total = weighted["baseline"]
     entries = []
@@ -252,30 +252,16 @@ def run_bench(
     )
 
 
-@lru_cache(maxsize=4096)
-def _shape_counts(shape: tuple) -> tuple[int, ...]:
-    """One run's op counts, in OP_KINDS order, from its shape; memoised per process.
+def _ledger_of(results: Counter) -> CostLedger:
+    """The summed ledger of the runs counted by result, one class per shape.
 
-    The memo holds counts only, never prices, so it serves every profile and
-    ratio alike. Its hits come from earlier bench calls in the same process:
-    within one call the Counter has already grouped each driver's shapes.
-    """
-    counts = _walk_ledgers(*shape)[0].counts()
-    return tuple(counts[kind] for kind in OP_KINDS)
-
-
-def _ledger_of(shapes: Counter) -> CostLedger:
-    """The summed ledger of the runs counted by shape.
-
-    Each class's op counts come from the per-process memo _shape_counts and
+    Each class's op counts come from the memoised formula _shape_counts and
     are summed, times the runs in each class, per kind into one ledger,
     which is priced only when read.
     """
-    runs = shapes.values()
-    total = CostLedger()
-    for kind, counts in zip(OP_KINDS, zip(*map(_shape_counts, shapes))):
-        total.charge(kind, sum(map(operator.mul, counts, runs)))
-    return total
+    runs = results.values()
+    counts = (_shape_counts(result.shape)[0] for result in results)
+    return _ledger(sum(map(operator.mul, column, runs)) for column in zip(*counts))
 
 
 def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:

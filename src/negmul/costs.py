@@ -12,7 +12,7 @@ comparisons in tests need no tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
@@ -209,3 +209,10 @@ class CostLedger:
     def __repr__(self) -> str:
         parts = ", ".join(f"{kind}={self._counts[kind]}" for kind in OP_KINDS if self._counts[kind])
         return f"CostLedger({parts})"
+
+
+def _ledger(counts: Iterable[int]) -> CostLedger:
+    """A fresh ledger holding counts, given in OP_KINDS order, unchecked."""
+    ledger = CostLedger()
+    ledger._counts.update(zip(OP_KINDS, counts))
+    return ledger

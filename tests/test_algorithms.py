@@ -30,7 +30,7 @@ from negmul import (
     windowed_neg_scalar_mul,
 )
 from negmul import algorithms
-from negmul.algorithms import _odd_multiples, _walk_ledgers
+from negmul.algorithms import _odd_multiples, _shape_counts
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
@@ -406,7 +406,7 @@ def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
     assert (res.element.coefficient, res.trace) == (m, None), run
     assert res.ledger.counts() == g.calls, run
     # bench runs its drivers from the identity of Z/1 and reads only their
-    # ledgers, which _walk_ledgers makes from the shape alone
+    # ledgers, which _shape_counts counts from the shape alone
     got = scalar_mul(m, TRIVIAL.identity, TRIVIAL, algo, form=form, width=width)
     assert (got.element, got.shape) == (0, res.shape), run
     if not traced:
@@ -537,21 +537,27 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
         assert {d: x.coefficient for d, x in table.items()} == {
             d: d for d in range(-bound, bound + 1) if d % 2
         }, bound
-        ledger, table_ledger = _walk_ledgers(1, 1, False, True, True, False, bound)
-        assert table_ledger.counts() == g.calls, bound
-        assert ledger == table_ledger, bound  # one digit: no step, no closing negation
+        run, table = _shape_counts((1, 1, False, True, True, False, bound))
+        assert table == tuple(g.calls.values()), bound
+        assert run == table, bound  # one digit: no step, no closing negation
 
 
 def test_ledgers_are_made_from_the_shape():
     assert MulResult._fields == ("element", "shape", "trace")
-    res = windowed_neg_scalar_mul(width_w_naf(1000, 4), Opaque(1), FreeGroup())
-    for read in (lambda: res.ledger, lambda: res.table_ledger):
-        first = read()
-        assert read() == first and read() is not first
-        first.charge("neg")
-        assert read().count("neg") == first.count("neg") - 1
-    assert res.table_ledger == _walk_ledgers(*res.shape)[1]
-    assert res.table_ledger.count("neg") == 4
+    e, g = width_w_naf(1000, 4), FreeGroup()
+    res = windowed_neg_scalar_mul(e, Opaque(1), g)
+    # the table up to 7: one dbl, three adds, four negs
+    made = (tuple(g.calls.values()), (3, 1, 4, 0, 0))
+    # a charge to a read ledger reaches neither the memo nor a later run's reads
+    for reread in (lambda: res, lambda: windowed_neg_scalar_mul(e, Opaque(1), FreeGroup())):
+        for read in (lambda r: r.ledger, lambda r: r.table_ledger):
+            first = read(res)
+            assert read(reread()) == first and read(reread()) is not first
+            first.charge("neg")
+            assert read(reread()).count("neg") == first.count("neg") - 1
+            assert _shape_counts(res.shape) == made
+    assert tuple(res.ledger.counts().values()) == made[0]
+    assert tuple(res.table_ledger.counts().values()) == made[1]
 
     # scalar_mul's negation of the base is one more neg in the shape
     g = FreeGroup()
@@ -565,23 +571,23 @@ def test_ledgers_are_made_from_the_shape():
 
 def test_verify_makes_no_ledger(monkeypatch):
     calls = Counter()
-    charge, make_ledgers = CostLedger.charge, algorithms._walk_ledgers
+    make_ledger, shape_counts = CostLedger.__init__, algorithms._shape_counts
 
-    def counting_charge(self, kind, times=1):
-        calls["charge"] += 1
-        charge(self, kind, times)
+    def counting_init(self):
+        calls["ledger"] += 1
+        make_ledger(self)
 
-    def counting_walk_ledgers(*shape):
-        calls["walk_ledgers"] += 1
-        return make_ledgers(*shape)
+    def counting_shape_counts(shape):
+        calls["shape_counts"] += 1
+        return shape_counts(shape)
 
-    monkeypatch.setattr(CostLedger, "charge", counting_charge)
-    monkeypatch.setattr(algorithms, "_walk_ledgers", counting_walk_ledgers)
+    monkeypatch.setattr(CostLedger, "__init__", counting_init)
+    monkeypatch.setattr(algorithms, "_shape_counts", counting_shape_counts)
     assert verify_universal_agreement(max_n=11) == (6240, [])
     assert calls == {}
     # the counters see a ledger that is read
     assert scalar_mul(5, 1, ModularGroup(11)).ledger.count("neg_dbl") == 2
-    assert calls["walk_ledgers"] == 1 and calls["charge"] > 0
+    assert calls == {"ledger": 1, "shape_counts": 1}
 
 
 def test_universal_agreement_small():

@@ -29,7 +29,8 @@ from negmul import (
     weighted_total,
 )
 import negmul.bench
-from negmul.bench import _SHAPE_BATCH, StepCosts, _decimal, _shape_counts
+from negmul.algorithms import _shape_counts
+from negmul.bench import _RECODE_BATCH, StepCosts, _decimal
 from negmul.recoding import recode
 
 from oracles import FreeGroup, Opaque
@@ -195,8 +196,8 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
     D = Opaque(1)
     runs = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
     cases = [(24, 60, seed, form, width) for seed in (0, 1, 2, 3) for form, width in runs]
-    # more than two batches of run shapes, folded into each driver's counts
-    cases += [(8, 2 * _SHAPE_BATCH + 1, 0, form, width) for form, width in runs]
+    # more than two batches of expansions, folded into each driver's counts
+    cases += [(8, 2 * _RECODE_BATCH + 1, 0, form, width) for form, width in runs]
     for case in cases:
         bits, samples, seed, form, width = case
         report = run_bench(profile, bits=bits, samples=samples, form=form, width=width, seed=seed)
@@ -239,28 +240,36 @@ def test_shape_count_memo_serves_every_profile_and_ratio(monkeypatch):
         _shape_counts.cache_clear()
         cold.append(bench_json(*call))
 
-    walked = []
-    walk_ledgers = negmul.bench._walk_ledgers
+    asked = set()
 
-    def counting_walk_ledgers(*shape):
-        walked.append(shape)
-        return walk_ledgers(*shape)
+    def recording_shape_counts(shape):
+        asked.add(shape)
+        return _shape_counts(shape)
 
-    monkeypatch.setattr(negmul.bench, "_walk_ledgers", counting_walk_ledgers)
+    monkeypatch.setattr(negmul.bench, "_shape_counts", recording_shape_counts)
     _shape_counts.cache_clear()
     # profiles interleaved, so most calls read counts another profile cached
     assert [bench_json(*call) for call in calls] == cold
     info = _shape_counts.cache_info()
-    assert info.currsize == len(walked) == len(set(walked)) <= 4096
+    assert info.currsize == info.misses == len(asked) <= 4096
     assert info.hits > info.misses
-    for shape in walked:
-        counts = _shape_counts(shape)
-        assert len(counts) == len(OP_KINDS) and all(type(count) is int for count in counts)
-    assert _shape_counts.cache_info().hits == info.hits + len(walked)
+    for shape in asked:
+        run, table = _shape_counts(shape)
+        for counts in (run,) if table is None else (run, table):
+            assert len(counts) == len(OP_KINDS) and all(type(count) is int for count in counts)
+    assert _shape_counts.cache_info().hits == info.hits + len(asked)
 
-    walked.clear()
+    # a MulResult.ledger read and a bench call share the memo's entries
+    _shape_counts.cache_clear()
+    _, _, form, width = calls[-1]
+    for m in sample_scalars(40, 30, 5):
+        e = recode(m, form, width)
+        for algo in algorithms_for_form(form):
+            ALGORITHMS[algo].run(e, Opaque(1), FreeGroup(), False).ledger
+    filled = _shape_counts.cache_info()
+    assert filled.misses > 0
     assert bench_json(*calls[-1]) == cold[-1]
-    assert walked == []
+    assert _shape_counts.cache_info().misses == filled.misses
 
 
 def test_render_table_shows_exact_headline_numbers():

@@ -4,12 +4,13 @@ import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import negmul
-from negmul import algorithms, cli
+from negmul import CostLedger, algorithms, cli
 from negmul.backends import PRESETS
 from negmul.verify import Mismatch
 
@@ -78,18 +79,23 @@ def test_mul_neg_driver(capsys):
 
 
 def test_mul_makes_one_ledger(monkeypatch, capsys):
-    calls = []
-    make_ledgers = algorithms._walk_ledgers
+    calls = Counter()
+    make_ledger, shape_counts = CostLedger.__init__, algorithms._shape_counts
 
-    def counting_walk_ledgers(*shape):
-        calls.append(shape)
-        return make_ledgers(*shape)
+    def counting_init(self):
+        calls["ledger"] += 1
+        make_ledger(self)
 
-    monkeypatch.setattr(algorithms, "_walk_ledgers", counting_walk_ledgers)
+    def counting_shape_counts(shape):
+        calls["shape_counts"] += 1
+        return shape_counts(shape)
+
+    monkeypatch.setattr(CostLedger, "__init__", counting_init)
+    monkeypatch.setattr(algorithms, "_shape_counts", counting_shape_counts)
     rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "-17", "--algo", "neg")
     assert rc == 0
     assert out == "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n"
-    assert len(calls) == 1
+    assert calls == {"ledger": 1, "shape_counts": 1}
 
 
 def test_mul_zero(capsys):
