@@ -114,52 +114,59 @@ class BenchReport(NamedTuple):
     algorithms: tuple[AlgorithmEntry, ...]
     prices: dict[str, CostVector]
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
+        """Canonical JSON: sorted keys, two-space indent, ASCII escapes; byte stable for a seed.
+
+        Written straight from the fields, it is the text json.dumps(...,
+        sort_keys=True, indent=2) makes of the schema in the README. Each op
+        block is the kind's count times its price, in integers.
+        """
+        # only JSON output needs it; kept off the start-up path
+        from json.encoder import encode_basestring_ascii as quote
+
         algorithms = []
         for entry in self.algorithms:
-            ops = {
-                kind: {
-                    "count": entry.ledger.count(kind),
-                    **entry.ledger.vector(kind, self.prices)._asdict(),
-                }
-                for kind in OP_KINDS
-            }
-            savings = entry.savings_vs_baseline
+            counts = entry.ledger.counts()
+            ops = []
+            for kind in OP_KINDS:
+                n, price = counts[kind], self.prices[kind]
+                ops.append(
+                    _OPS_JSON.format(
+                        kind=kind,
+                        add_f=n * price.add_f,
+                        count=n,
+                        inv=n * price.inv,
+                        mul=n * price.mul,
+                        sqr=n * price.sqr,
+                    )
+                )
             algorithms.append(
-                {
-                    "id": entry.algo_id,
-                    "ops": ops,
-                    "total_weighted": str(entry.total_weighted),
-                    "mean_weighted": str(entry.mean_weighted),
-                    "savings_vs_baseline_percent": None if savings is None else str(savings),
-                }
+                _ALGORITHM_JSON.format(
+                    id=quote(entry.algo_id),
+                    mean_weighted=entry.mean_weighted,
+                    ops=",\n".join(ops),
+                    savings=_json_fraction(entry.savings_vs_baseline),
+                    total_weighted=entry.total_weighted,
+                )
             )
-        return {
-            "preset": self.preset,
-            "ratios": {key: str(ratio) for key, ratio in self.ratios._asdict().items()},
-            "sample": {
-                "bits": self.bits,
-                "count": self.samples,
-                "form": self.form,
-                "width": self.width,
-                "seed": self.seed,
-            },
-            "per_step": {
-                name: {
-                    "plain": str(step.plain),
-                    "fused": str(step.fused),
-                    "savings_percent": None if step.savings is None else str(step.savings),
-                }
-                for name, step in self.per_step.items()
-            },
-            "algorithms": algorithms,
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, two-space indent; byte stable for a seed."""
-        import json  # only JSON output needs it; kept off the start-up path
-
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        per_step = []
+        for name in ("add", "dbl"):
+            step = self.per_step[name]
+            savings = _json_fraction(step.savings)
+            per_step.append(
+                _STEP_JSON.format(name=name, fused=step.fused, plain=step.plain, savings=savings)
+            )
+        return _REPORT_JSON.format(
+            algorithms=",\n".join(algorithms),
+            per_step=",\n".join(per_step),
+            preset=quote(self.preset),
+            ratios=self.ratios,
+            bits=self.bits,
+            count=self.samples,
+            form=quote(self.form),
+            seed=self.seed,
+            width="null" if self.width is None else self.width,
+        )
 
     def render_table(self) -> str:
         width_note = f", width={self.width}" if self.width is not None else ""
@@ -269,6 +276,62 @@ def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRati
     fused = weighted_total(fused_cost, ratios)
     savings = savings_percent(plain, fused) if plain > 0 else None
     return StepCosts(plain, fused, savings)
+
+
+# BenchReport.to_json's layout, as json.dumps(..., sort_keys=True, indent=2)
+# lays the schema out: every object's keys in sorted order (OP_KINDS is
+# sorted too) and each fraction a quoted str().
+_OPS_JSON = """\
+        "{kind}": {{
+          "add_f": {add_f},
+          "count": {count},
+          "inv": {inv},
+          "mul": {mul},
+          "sqr": {sqr}
+        }}"""
+_ALGORITHM_JSON = """\
+    {{
+      "id": {id},
+      "mean_weighted": "{mean_weighted!s}",
+      "ops": {{
+{ops}
+      }},
+      "savings_vs_baseline_percent": {savings},
+      "total_weighted": "{total_weighted!s}"
+    }}"""
+_STEP_JSON = """\
+    "{name}": {{
+      "fused": "{fused!s}",
+      "plain": "{plain!s}",
+      "savings_percent": {savings}
+    }}"""
+_REPORT_JSON = """\
+{{
+  "algorithms": [
+{algorithms}
+  ],
+  "per_step": {{
+{per_step}
+  }},
+  "preset": {preset},
+  "ratios": {{
+    "addf_per_mul": "{ratios.addf_per_mul!s}",
+    "inv_per_mul": "{ratios.inv_per_mul!s}",
+    "sqr_per_mul": "{ratios.sqr_per_mul!s}"
+  }},
+  "sample": {{
+    "bits": {bits},
+    "count": {count},
+    "form": {form},
+    "seed": {seed},
+    "width": {width}
+  }}
+}}"""
+
+
+def _json_fraction(x: Fraction | None) -> str:
+    """A fraction as its quoted str(), or null where there is none."""
+    return "null" if x is None else f'"{x!s}"'
 
 
 def _percent(savings: Fraction | None) -> str:

@@ -11,6 +11,7 @@ comparisons in tests need no tolerance.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
@@ -133,21 +134,32 @@ DEFAULT_RATIOS = CostRatios()
 
 
 def weighted_total(cost: CostVector, ratios: CostRatios = DEFAULT_RATIOS) -> Fraction:
-    """Collapse a cost vector into exact M-equivalents."""
-    return (
-        Fraction(cost.mul)
-        + cost.sqr * ratios.sqr_per_mul
-        + cost.inv * ratios.inv_per_mul
-        + cost.add_f * ratios.addf_per_mul
+    """Collapse a cost vector into exact M-equivalents.
+
+    The four terms are put over the product of the ratios' denominators and
+    summed as integers, so the result is the one Fraction made.
+    """
+    sqr, inv, addf = ratios
+    d_sqr, d_inv, d_addf = sqr.denominator, inv.denominator, addf.denominator
+    return Fraction(
+        cost.mul * d_sqr * d_inv * d_addf
+        + cost.sqr * sqr.numerator * d_inv * d_addf
+        + cost.inv * inv.numerator * d_sqr * d_addf
+        + cost.add_f * addf.numerator * d_sqr * d_inv,
+        d_sqr * d_inv * d_addf,
     )
 
 
 def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
-    """Exact percentage saved going from base to improved: (base - improved) / base * 100."""
-    base = Fraction(base)
+    """Exact percentage saved going from base to improved: (base - improved) / base * 100.
+
+    With base = B/b and improved = I/i, that is (B*i - I*b) * 100 / (B*i),
+    made as one Fraction.
+    """
     if base <= 0:
         raise ValueError(f"base cost must be positive, got {base}")
-    return (base - Fraction(improved)) / base * 100
+    scaled_base = base.numerator * improved.denominator
+    return Fraction((scaled_base - improved.numerator * base.denominator) * 100, scaled_base)
 
 
 class CostLedger:
@@ -188,8 +200,14 @@ class CostLedger:
         return prices[kind].scaled(count)
 
     def total(self, prices: Mapping[str, CostVector]) -> CostVector:
-        """Componentwise sum over all operation kinds, at the given prices."""
-        return sum((self.vector(kind, prices) for kind in OP_KINDS), ZERO_COST)
+        """Componentwise sum over all operation kinds, at the given prices.
+
+        Each field operation's column is summed as count times price over
+        the kinds, in plain integers, into the one CostVector returned.
+        """
+        counts = [self._counts[kind] for kind in OP_KINDS]
+        columns = zip(*(prices[kind] for kind in OP_KINDS))
+        return CostVector(*(sum(map(operator.mul, counts, column)) for column in columns))
 
     def merge(self, other: CostLedger) -> None:
         """Fold another run's counts into this ledger."""

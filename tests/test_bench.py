@@ -29,6 +29,7 @@ from negmul import (
     weighted_total,
 )
 import negmul.bench
+from negmul import cli
 from negmul.algorithms import _shape_counts
 from negmul.bench import _RECODE_BATCH, StepCosts, _decimal
 from negmul.recoding import recode
@@ -124,7 +125,7 @@ def test_a_free_plain_step_has_no_per_step_saving():
     report = run_bench(free, bits=16, samples=4, seed=1)
     for name in ("add", "dbl"):
         assert report.per_step[name] == StepCosts(Fraction(0), Fraction(1), None)
-        assert report.to_dict()["per_step"][name]["savings_percent"] is None
+        assert json.loads(report.to_json())["per_step"][name]["savings_percent"] is None
     # the baseline is free too, so no whole-multiplication saving either
     assert [entry.savings_vs_baseline for entry in report.algorithms] == [None] * 5
     table = report.render_table().splitlines()
@@ -150,6 +151,60 @@ def test_report_json_is_deterministic_and_round_trips():
     assert text1 == text2
     reparsed = json.dumps(json.loads(text1), sort_keys=True, indent=2)
     assert reparsed == text1
+
+
+ZERO_PROFILE = CostProfile("zero", *[ZERO_COST] * 5)
+# a profile pricing field additions, for a nonzero addf_per_mul to count
+ADDF_PROFILE = CostProfile(
+    "addf",
+    add_cost=CostVector(mul=9, add_f=4),
+    dbl_cost=CostVector(sqr=7, inv=1, add_f=3),
+    neg_cost=CostVector(add_f=2),
+    neg_add_cost=CostVector(mul=8, add_f=5),
+    neg_dbl_cost=CostVector(mul=1, sqr=6, inv=1),
+)
+RUNS = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
+
+
+@pytest.mark.parametrize(
+    "profile, ratios",
+    [
+        pytest.param(profile, ratios, id=profile.name)
+        for profile, ratios in [
+            (PICARD_PROFILE, DEFAULT_RATIOS),
+            (HYPERELLIPTIC_PROFILE, DEFAULT_RATIOS),
+            (ADDF_PROFILE, CostRatios("1/2", 7, "3/1000000007")),
+            (ZERO_PROFILE, DEFAULT_RATIOS),
+        ]
+    ],
+)
+@pytest.mark.parametrize("form, width", RUNS)
+def test_report_json_is_the_canonical_json_dump(profile, ratios, form, width):
+    report = run_bench(profile, bits=40, samples=9, form=form, width=width, ratios=ratios, seed=6)
+    text = report.to_json()
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, indent=2)
+    assert data["preset"] == profile.name
+    assert data["sample"]["width"] == (width if form == "wnaf" else None)
+    if profile is ZERO_PROFILE:
+        # every saving is against a cost of 0: null per step and per algorithm
+        assert [step["savings_percent"] for step in data["per_step"].values()] == [None, None]
+        assert {entry["savings_vs_baseline_percent"] for entry in data["algorithms"]} == {None}
+
+
+def test_bench_json_quotes_a_custom_profile_name_as_json_does(tmp_path, capsys):
+    data = {kind: {"M": 10, "S": 1, "A": 3} for kind in ("add", "dbl", "neg_add", "neg_dbl")}
+    data["neg"] = {"A": 1}
+    data["ratios"] = {"addf_per_mul": "1/3"}
+    stem = 'say "hi"\\ na\u00efve \u00e9t\u00e9 \U0001f600'
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(data))
+    argv = ["bench", "custom", "--profile", str(path), "--bits", "24", "--samples", "5", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert out.isascii()
+    assert json.loads(out)["preset"] == stem
 
 
 def test_report_is_self_consistent():
@@ -318,17 +373,24 @@ def test_readme_library_example_prints_what_its_comments_say(capsys):
     assert re.fullmatch(r"\d+/\d+", total) and Fraction(total) == Fraction(7217, 3)
 
 
+PINNED_JSON = [
+    (PICARD_PROFILE, "binary", 4, "7f1c5fdf521536d92e6d9b96a7a28e10d5bfb1ec8521bdb8427f4d61ed73ae3c"),
+    (PICARD_PROFILE, "naf", 4, "86bf6629e15115c2f48a017c9f160a55b7b02cebbfd343c78d8032bbd1404631"),
+    (PICARD_PROFILE, "wnaf", 5, "3c0a19b7b4da96d1e4bfe9ee6aa50f578fe3ad4185c6ddd6a1fb205204ee11da"),
+    # taken from the json.dumps rendering of the report's dict
+    (HYPERELLIPTIC_PROFILE, "naf", 4, "46f74d52aa32c81dcce2e363c01df2b5fc8a5d75e7757552de33a07727e11440"),
+    (ZERO_PROFILE, "wnaf", 5, "848ec76d8f8d0314d4e31749b6ef896c50070486758469e0eda769836bc827be"),
+]
+
+
 @pytest.mark.parametrize(
-    "form, width, digest",
-    [
-        ("binary", 4, "7f1c5fdf521536d92e6d9b96a7a28e10d5bfb1ec8521bdb8427f4d61ed73ae3c"),
-        ("naf", 4, "86bf6629e15115c2f48a017c9f160a55b7b02cebbfd343c78d8032bbd1404631"),
-        ("wnaf", 5, "3c0a19b7b4da96d1e4bfe9ee6aa50f578fe3ad4185c6ddd6a1fb205204ee11da"),
-    ],
+    "profile, form, width, digest",
+    PINNED_JSON,
+    ids=[f"{form}-{width}-{digest}" for _, form, width, digest in PINNED_JSON],
 )
-def test_report_json_is_pinned_for_seed_0(form, width, digest, monkeypatch):
+def test_report_json_is_pinned_for_seed_0(profile, form, width, digest, monkeypatch):
     def bench_digest():
-        report = run_bench(PICARD_PROFILE, bits=96, samples=200, seed=0, form=form, width=width)
+        report = run_bench(profile, bits=96, samples=200, seed=0, form=form, width=width)
         return hashlib.sha256(report.to_json().encode()).hexdigest()
 
     assert bench_digest() == digest

@@ -48,6 +48,47 @@ def test_savings_percent_requires_positive_base():
         savings_percent(-3, 1)
 
 
+big_counts_st = st.integers(0, 1 << 64)
+# fraction strings, 0 among them, with denominators up to 2^64
+fraction_texts_st = st.one_of(
+    st.just("0"), st.fractions(min_value=0, max_value=1 << 32, max_denominator=1 << 64).map(str)
+)
+positive_st = st.one_of(
+    st.integers(1, 1 << 64), st.fractions(min_value=0, max_denominator=1 << 64).filter(bool)
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    cost=st.builds(CostVector, big_counts_st, big_counts_st, big_counts_st, big_counts_st),
+    ratios=st.builds(CostRatios, fraction_texts_st, fraction_texts_st, fraction_texts_st),
+)
+def test_weighted_total_equals_its_term_by_term_sum(cost, ratios):
+    total = weighted_total(cost, ratios)
+    assert type(total) is Fraction
+    assert total == (
+        Fraction(cost.mul)
+        + cost.sqr * ratios.sqr_per_mul
+        + cost.inv * ratios.inv_per_mul
+        + cost.add_f * ratios.addf_per_mul
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(base=positive_st, improved=st.one_of(big_counts_st, st.fractions(max_denominator=1 << 64)))
+def test_savings_percent_equals_the_fraction_formula(base, improved):
+    saving = savings_percent(base, improved)
+    assert type(saving) is Fraction
+    assert saving == (Fraction(base) - Fraction(improved)) / Fraction(base) * 100
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(base=st.one_of(st.integers(max_value=0), st.fractions(max_value=0, max_denominator=1 << 64)))
+def test_savings_percent_refuses_a_base_that_is_not_positive(base):
+    with pytest.raises(ValueError, match=f"^base cost must be positive, got {Fraction(base)}$"):
+        savings_percent(base, 1)
+
+
 def test_ratios_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         CostRatios(inv_per_mul=-1)
