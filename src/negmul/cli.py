@@ -174,10 +174,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         file_ratios = None
     base = file_ratios if file_ratios is not None else DEFAULT_RATIOS
     given = {key: text for key in CostRatios._fields if (text := getattr(args, key)) is not None}
-    try:
-        ratios = base._replace(**given)
-    except ValueError as exc:
-        args.parser.error(str(exc))
+    ratios = base
+    if given:
+        try:
+            ratios = base._replace(**given)
+        except ValueError as exc:
+            args.parser.error(str(exc))
     report = run_bench(
         profile,
         bits=args.bits,

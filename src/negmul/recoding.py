@@ -13,6 +13,7 @@ recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 from __future__ import annotations
 
 from functools import cache
+from struct import unpack
 
 RECODING_FORMS = ("binary", "naf", "wnaf")
 
@@ -153,20 +154,31 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     forces at least w - 1 zeros before the next nonzero digit. For w = 2
     this is exactly the NAF.
 
-    One scan of m's binary string from the low end, with w zeros padded
-    above the top bit so that a final carry lands. A negative digit leaves a
-    carry of 1 into the remainder, so the next nonzero digit sits at the next
-    1 bit, or at the next 0 bit while a carry is pending. Its value is read
-    off the w-bit window that ends there, whose low bit the carry makes 1;
-    the window's upper w - 1 bits key _window_digits. Each nonzero digit
-    costs O(w) string work and no operation on an m-sized integer, and the
-    scan counts the digits it finds as the expansion's weight.
+    A negative digit leaves a carry of 1 into the remainder, so the next
+    nonzero digit sits at the next 1 bit, or at the next 0 bit while a carry
+    is pending; either way at the next bit where m changes, a set bit of
+    m ^ (m << 1) at least w places up. Its value is the w-bit window of m
+    that starts there with its low bit set (the carry makes it 1), less 2**w
+    when the window's top bit is set. Two paths compute this expansion.
+
+    A scalar of at least 2**64 with w <= 8 takes _wide_width_w_naf, a few
+    whole-integer operations and one table step per byte of m; its weight is
+    the bit count of the mask of chosen positions. Any other scans m's binary
+    string from the low end, with w zeros padded above the top bit so that a
+    final carry lands, and reads each window's digit from _window_digits by
+    its upper w - 1 bits: O(w) string work per nonzero digit and no
+    operation on an m-sized integer. The scan counts the digits it finds as
+    the expansion's weight. The scan is the faster path below 16 to 48 bits,
+    by width, and the only one above w = 8, where a digit no longer fits a
+    signed byte.
     """
     _require_nonnegative(m)
     if not isinstance(w, int) or isinstance(w, bool):
         raise ValueError(f"width must be an integer, got {w!r}")
     if not MIN_WIDTH <= w <= MAX_WIDTH:
         raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
+    if m >> 64 and w <= 8:
+        return _wide_width_w_naf(m, w)
     windows = _window_digits(w)
     bits = "0" * w + format(m, "b")
     digits = [0] * len(bits)
@@ -180,6 +192,70 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
         weight += 1
         j = find("0" if d < 0 else "1", 0, start)
     return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1, weight)
+
+
+def _wide_width_w_naf(m: int, w: int) -> SignedExpansion:
+    """Width-w NAF of m, for 2 <= w <= 8, one table step per byte of m.
+
+    The nonzero digits sit at a greedy choice among the set bits of
+    m ^ (m << 1): the lowest is chosen, and each chosen position p blocks
+    p + 1 ... p + w - 1. _greedy_steps(w) makes that choice a byte at a time
+    from the low end. The bits it picks make chosen, the mask of nonzero
+    positions: its bit length is the expansion's length, its bit count the
+    weight.
+
+    Chosen positions lie at least w apart, so their windows are disjoint,
+    and setting each one's low bit in m changes no other window. Spread to
+    one byte per bit, m | chosen times the width's gather factor puts into
+    byte p + w - 1 the window that starts at p, its top bit weighted
+    256 - 2**(w-1) in place of 2**(w-1): the digit as a signed byte, at most
+    255, so no byte carries. Shifted down w - 1 bytes, masked to the chosen
+    positions and read as signed chars, the bytes are the digits.
+    """
+    steps, gather = _greedy_steps(w)
+    starts = m ^ (m << 1)
+    picks = []
+    pick = picks.append
+    keep = 255
+    for c in starts.to_bytes((starts.bit_length() + 7) >> 3, "little"):
+        picked, keep = steps[keep & c]
+        pick(picked)
+    chosen = int.from_bytes(bytes(picks), "little")
+    lanes = int.from_bytes(_bits(m | chosen), "big") * gather >> 8 * w - 8
+    lanes &= int.from_bytes(_bits(chosen), "big") * 255
+    length = chosen.bit_length()
+    digits = unpack(f"{length}b", lanes.to_bytes(length, "big"))
+    return _trusted(digits, (1 << (w - 1)) - 1, chosen.bit_count())
+
+
+@cache
+def _greedy_steps(w: int) -> tuple[list[tuple[int, int]], int]:
+    """The byte-step table of _wide_width_w_naf at width w, and its gather factor.
+
+    Entry c of the table is the greedy choice within a byte c of run starts
+    whose blocked low bits are already cleared: the bits chosen, and the
+    mask of the next byte's bits that they leave unblocked. The lowest bit p
+    of c is chosen; when its block ends inside the byte, the rest of the
+    choice is the entry at c with bits p ... p + w - 1 cleared, a smaller c
+    made before it. 256 entries, made on a width's first use.
+
+    The gather factor, times m spread one byte per bit, sums into each byte
+    the w-bit window of m that ends there: bit j of the window weighted
+    2**j, its top bit 256 - 2**(w-1).
+    """
+    steps = [(0, 255)] * 256
+    for c in range(1, 256):
+        p = (c & -c).bit_length() - 1
+        end = p + w
+        if end < 8:
+            picked, keep = steps[c >> end << end]
+            steps[c] = (picked | 1 << p, keep)
+        else:
+            steps[c] = (1 << p, 255 >> end - 8 << end - 8)
+    gather = 256 - (1 << (w - 1))
+    for j in range(w - 1):
+        gather += 1 << j << 8 * (w - 1 - j)
+    return steps, gather
 
 
 @cache

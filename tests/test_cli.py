@@ -12,6 +12,7 @@ import pytest
 import negmul
 from negmul import CostLedger, algorithms, cli
 from negmul.backends import PRESETS
+from negmul.costs import DEFAULT_RATIOS
 from negmul.verify import Mismatch
 
 
@@ -334,6 +335,21 @@ def test_bench_ratio_flags_override_profile_ratios_one_by_one(tmp_path, capsys):
                       "--samples", "2", "--format", "json", "--inv-per-mul", "7/2")
     assert rc == 0
     assert json.loads(out)["ratios"] == {"sqr_per_mul": "1/2", "inv_per_mul": "7/2", "addf_per_mul": "0"}
+
+
+def test_bench_without_ratio_flags_passes_the_default_ratios_themselves(monkeypatch, capsys):
+    seen = []
+    run_bench = cli.run_bench
+
+    def recording_run_bench(profile, **kwargs):
+        seen.append(kwargs["ratios"])
+        return run_bench(profile, **kwargs)
+
+    monkeypatch.setattr(cli, "run_bench", recording_run_bench)
+    assert run_cli(capsys, "bench", "picard", "--bits", "16", "--samples", "2")[0] == 0
+    assert run_cli(capsys, "bench", "picard", "--bits", "16", "--samples", "2", "--inv-per-mul", "5")[0] == 0
+    assert seen[0] is DEFAULT_RATIOS
+    assert seen[1] == DEFAULT_RATIOS._replace(inv_per_mul="5") and seen[1] is not DEFAULT_RATIOS
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

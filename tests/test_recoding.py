@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negmul import SignedExpansion, binary_expansion, naf, width_w_naf
-from negmul.recoding import MAX_WIDTH, MIN_WIDTH
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH, _greedy_steps
 
 from oracles import min_window_weight, nonadjacent_expansions, reference_width_w_naf
 
@@ -127,13 +127,68 @@ def test_wnaf_equals_the_digit_by_digit_reference_small():
             assert width_w_naf(m, w).digits == reference_width_w_naf(m, w), (m, w)
 
 
+def assert_wnaf_equals_the_reference(m, w):
+    e = width_w_naf(m, w)
+    assert e.digits == reference_width_w_naf(m, w), (m, w)
+    assert e.value == m
+    assert_weight_counted(e)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(m=st.integers(0, (1 << 4096) - 1), w=st.sampled_from(WIDTHS))
 def test_wnaf_equals_the_digit_by_digit_reference(m, w):
-    e = width_w_naf(m, w)
-    assert e.digits == reference_width_w_naf(m, w)
-    assert e.value == m
-    assert_weight_counted(e)
+    assert_wnaf_equals_the_reference(m, w)
+
+
+# A uniform draw below 2**4096 is almost always about 4096 bits long; drawing
+# the bit length first reaches every size, both sides of the 2**64 boundary
+# between width_w_naf's two paths included.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 4096).flatmap(lambda k: st.integers(1 << k >> 1, (1 << k) - 1)),
+    w=st.sampled_from(WIDTHS),
+)
+def test_wnaf_of_every_bit_length_equals_the_digit_by_digit_reference(m, w):
+    assert_wnaf_equals_the_reference(m, w)
+
+
+# width_w_naf switches from its scan to _wide_width_w_naf at 2**64 for
+# w <= 8; every width is checked across that boundary, carries into a new top
+# digit (2**k - 1) and long runs of zeros (2**k + 1) included.
+@pytest.mark.parametrize("w", WIDTHS)
+def test_wnaf_near_the_2_64_boundary_equals_the_reference(w):
+    rng = random.Random(64 + w)
+    for k in range(56, 81):
+        for m in ((1 << k) - 1, 1 << k, (1 << k) + 1, *(rng.getrandbits(k) | 1 << (k - 1) for _ in range(8))):
+            assert_wnaf_equals_the_reference(m, w)
+
+
+def greedy_byte_step(c, blocked, w):
+    """The width-w greedy over one byte of run starts, bit by bit from the low end.
+
+    blocked low bits are passed over; each set bit chosen blocks the w - 1
+    bits above it. Returns the chosen bits and how many bits of the next
+    byte are still blocked.
+    """
+    chosen = 0
+    for p in range(8):
+        if blocked:
+            blocked -= 1
+        elif c >> p & 1:
+            chosen |= 1 << p
+            blocked = w - 1
+    return chosen, blocked
+
+
+@pytest.mark.parametrize("w", range(MIN_WIDTH, 9))
+def test_byte_step_table_rows_equal_the_bit_by_bit_greedy(w):
+    steps, _ = _greedy_steps(w)
+    assert len(steps) == 256
+    for blocked in range(w):
+        for c in range(256):
+            chosen, after = greedy_byte_step(c, blocked, w)
+            assert after < w
+            assert steps[(255 >> blocked << blocked) & c] == (chosen, 255 >> after << after), (w, blocked, c)
 
 
 # Carries. On a run of ones every negative digit leaves a carry that runs up
