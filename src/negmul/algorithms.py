@@ -1,10 +1,10 @@
 """Scalar-multiplication drivers over a negation-aware group.
 
 Every driver walks a signed-digit expansion most-significant digit first and
-returns the product together with the shape of its run. One memoised
-integer formula, _shape_counts, turns a shape into the counts of the group
-operations the run performed, and a fresh ledger is made from them on each
-read.
+returns the product together with the shape of its run. One integer map,
+_op_counts, affine in the sums of many runs' shapes, turns them into the
+counts of the group operations performed, and a fresh ledger is made from
+them on each read.
 The negating drivers keep the intermediate result correct only up
 to sign: a one-bit flag f counts negations mod 2 and maintains
 
@@ -16,15 +16,13 @@ signed multiples {d: d*D} (the odd multiples and their negatives, whose
 bound-1 case is the pair {D, -D}), the digit value never multiplies anything;
 the bookkeeping is one integer flip per group operation.
 
-All six drivers are one walk (_walk) fixed by three choices: which steps are
-fused, the start policy (lookahead parity, or start at f = 0 and negate once
-at the end), and the addend table. ALGORITHMS maps each driver id to the
-recoding forms it runs on, default first, and a runner for it.
+All six drivers are one walk (_walk) fixed by their ALGORITHMS entry: which
+steps are fused, the start policy (lookahead parity, or start at f = 0 and
+negate once at the end), and the addend table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .costs import CostLedger, _ledger
@@ -45,15 +43,17 @@ class TraceStep(NamedTuple):
 class MulResult(NamedTuple):
     """Product element, the shape of the run that produced it, and its trace.
 
-    shape is what _shape_counts reads of the run. ledger counts the group
-    operations a run from any base but the identity performs (an untraced
-    run from the identity makes none, see _walk); table_ledger is the part
-    of it spent building the odd-multiples table, or None when the run was
-    given no table bound. Both are made from _shape_counts' memoised counts
-    on each read, so every read is a fresh ledger and a charge to one does
-    not persist.
-    _walk builds its results through tuple.__new__ (_new_result), skipping
-    the Python frame of the generated __new__, which every run would pay.
+    shape is (entry, table_bound, length, weight, negative), then True when
+    scalar_mul negated D first: the driver's ALGORITHMS entry, the bound of
+    the table the walk built (None for none), the expansion's length and
+    weight, and whether the walk stores -D for a negative digit alone.
+    ledger counts the group operations a run from any base but the identity
+    performs (an untraced run from the identity makes none, see _walk);
+    table_ledger is the table's part of it, or None. Both are made from
+    _op_counts on each read, so every read is a fresh ledger and a charge
+    to one does not persist. _walk builds its results through tuple.__new__
+    (_new_result), skipping the Python frame of the generated __new__,
+    which every run would pay.
     """
 
     element: Element
@@ -62,53 +62,51 @@ class MulResult(NamedTuple):
 
     @property
     def ledger(self) -> CostLedger:
-        return _ledger(_shape_counts(self.shape)[0])
+        return _ledger(self._counts()[0])
 
     @property
     def table_ledger(self) -> CostLedger | None:
-        table = _shape_counts(self.shape)[1]
+        table = self._counts()[1]
         return None if table is None else _ledger(table)
 
+    def _counts(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+        entry, table_bound, length, weight, negative = self.shape[:5]
+        odd, negated = entry._odd(length, weight), len(self.shape) > 5
+        return _op_counts(entry, table_bound, 1, length, weight, negative, odd, negated)
 
-@lru_cache(maxsize=4096)
-def _shape_counts(shape: tuple) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """The op counts of one walk, and of its table, from the run's shape alone.
 
-    Both are in OP_KINDS order; the table's are None when the run was given
-    no table bound. The shape is (length, weight, negative, fuse_dbl,
-    fuse_add, lookahead, table_bound), then True when scalar_mul negated D
-    first: length and weight are the expansion's; negative says whether a
-    digit is negative, which only a walk with neither a table nor a fused
-    step reads; the rest are _walk's. The count: the odd-multiples table up
-    to table_bound, or up to 1 (-D) when a step is fused or a digit is
-    negative (one dbl when the bound is >= 3, entries - 1 adds and one neg
-    per entry); length - 1 doublings and weight - 1 additions of the chosen
-    kinds; a closing neg exactly when there is no lookahead and
-    (length - 1) * fuse_dbl + (weight - 1) * fuse_add is odd; and a neg for
-    a negated base. Its shapes come only from _walk, which has accepted the
-    expansion, and from scalar_mul, so it checks none. Memoised per process
-    (a fixed 4,096 shapes): the memo holds counts only, never prices, so it
-    serves every profile and ratio, and every read makes its own ledger.
+def _op_counts(
+    entry: Algorithm, table_bound: int | None, runs: int, length: int, weight: int,
+    negative: int, odd: int, negated: int = 0,
+) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The op counts, in OP_KINDS order, of `runs` walks of entry at one table bound.
+
+    Also those of their tables, or None when table_bound is. The other
+    arguments sum the runs' shape fields (negated: the runs with a negated
+    base; odd: those Algorithm._odd finds odd); the counts are affine in them.
+    Each walk builds its table (one dbl when it holds 3D, an add per further
+    entry, a neg per entry), then makes length - 1 doublings and weight - 1
+    additions of the kinds entry fuses or not, a closing neg when odd
+    without lookahead, and a neg for a negated base. Shapes come only from
+    _walk, which has accepted the expansion, and from scalar_mul, so nothing
+    is checked.
     """
-    length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound = shape[:7]
-    entries = 0
-    if table_bound is not None or fuse_dbl or fuse_add or negative:
-        entries = ((table_bound or 1) + 1) // 2
-    table_adds, table_dbls = max(entries - 1, 0), int(entries > 1)
-    doublings, additions = length - 1, weight - 1
-    closing_neg = not lookahead and (doublings * fuse_dbl + additions * fuse_add) % 2
-    run = (
-        table_adds + (0 if fuse_add else additions),
-        table_dbls + (0 if fuse_dbl else doublings),
-        entries + closing_neg + (shape[7:] == (True,)),
+    _, _, fuse_dbl, fuse_add, lookahead, _ = entry
+    if table_bound is None:
+        table = (0, 0, runs if fuse_dbl or fuse_add else negative, 0, 0)
+    else:
+        entries = (table_bound + 1) // 2
+        table = (runs * (entries - 1), runs * (entries > 1), runs * entries, 0, 0)
+    doublings, additions = length - runs, weight - runs
+    counts = (
+        table[0] + (0 if fuse_add else additions),
+        table[1] + (0 if fuse_dbl else doublings),
+        table[2] + (0 if lookahead else odd) + negated,
         additions if fuse_add else 0,
         doublings if fuse_dbl else 0,
     )
-    return run, None if table_bound is None else (table_adds, table_dbls, entries, 0, 0)
+    return counts, None if table_bound is None else table
 
-
-# the shape of a run that performs no group operation
-_NO_OPS = (1, 1, False, False, False, True, None)
 
 # _new_result(MulResult, (element, shape, trace)) == MulResult(element, shape, trace)
 _new_result = tuple.__new__
@@ -133,34 +131,18 @@ def _odd_multiples(D: Element, group: NegationAwareGroup, bound: int) -> dict[in
 
 
 def _walk(
-    e: SignedExpansion,
-    D: Element,
-    group: NegationAwareGroup,
-    trace: bool,
-    *,
-    fuse_dbl: bool,
-    fuse_add: bool,
-    lookahead: bool,
-    table_bound: int | None = None,
+    e: SignedExpansion, D: Element, group: NegationAwareGroup, trace: bool, entry: Algorithm
 ) -> MulResult:
     """The one left-to-right digit loop every driver runs, and its one acceptance rule.
 
-    It refuses an empty e, and an e with digit_bound > (table_bound or 1),
-    before any group call. fuse_dbl / fuse_add pick the fused negate-double
-    / negate-add, each of which flips f. With lookahead the walk starts at
-    f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) mod 2, which
-    absorbs every flip the loop makes, so the flag closes at 0; without it
-    the walk starts at f = 0 and negates once at the end if the flag closes
-    at 1. The addends are the one table policy, the table _shape_counts
-    counts: _odd_multiples up to table_bound, or up to 1 ({D, -D}) when
-    the walk can flip or a digit is negative, else D alone. The drivers pass
-    table_bound=e.digit_bound or none, so the expansion owns its table.
-    The loop counts nothing: the result records the run's shape (length,
-    the weight e's recoding stored, negative and these parameters) for
-    _shape_counts, which counts it unchecked, so these refusals are the
-    only check a shape gets; no digit is scanned to count it. Every driver
-    run pays this function's fixed work, so untraced it makes no Python call
-    but the group's and _odd_multiples.
+    entry is the driver's ALGORITHMS entry, whose fields fix the walk. It
+    refuses an empty e, and an e whose digit_bound exceeds its addend
+    table's bound (1 when entry builds no table), before any group call.
+    The loop counts nothing: the result records the run's shape (see
+    MulResult) for _op_counts, which counts it unchecked, so these refusals
+    are the only check a shape gets; no digit is scanned to count it. Every
+    driver run pays this function's fixed work, so untraced it makes no
+    Python call but the group's and _odd_multiples.
 
     Every multiple of the identity is the identity, so an untraced walk
     whose D is group.identity returns D and its shape, after the refusals,
@@ -171,25 +153,28 @@ def _walk(
     steps are appended here. The group sees the same calls traced or not,
     except from the identity, which only a traced walk calls the group from.
     """
+    _, _, fuse_dbl, fuse_add, lookahead, table_from = entry
     digits = e.digits
     if not digits:
         raise ValueError("empty expansion: map m = 0 to the identity before dispatching")
-    if e.digit_bound > (bound := table_bound or 1):
-        raise ValueError(f"digit_bound {e.digit_bound} exceeds the addend table's bound {bound}")
+    table_bound = e.digit_bound
+    if table_from is None or table_bound < table_from:
+        if table_bound > 1:
+            raise ValueError(f"digit_bound {table_bound} exceeds the addend table's bound 1")
+        table_bound = None
     # a negative digit matters only where nothing else stores -D
     negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
     length, weight = len(digits), e.weight
-    shape = (length, weight, negative, fuse_dbl, fuse_add, lookahead, table_bound)
+    shape = (entry, table_bound, length, weight, negative)
     if not trace and D is group.identity:
         # every multiple of the identity is the identity
         return _new_result(MulResult, (D, shape, None))
     if table_bound is not None or fuse_dbl or fuse_add or negative:
-        table = _odd_multiples(D, group, bound)
+        table = _odd_multiples(D, group, table_bound or 1)
     else:
         table = {1: D}
-    f = 0
-    if lookahead:
-        f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) % 2
+    # Algorithm._odd inlined: every lookahead run pays for it
+    f = ((length - 1) * fuse_dbl + (weight - 1) * fuse_add) % 2 if lookahead else 0
     dbl = group.neg_dbl if fuse_dbl else group.dbl
     add = group.neg_add if fuse_add else group.add
     E = table[-digits[0] if f else digits[0]]
@@ -253,14 +238,9 @@ def double_and_add(
     """Classical left-to-right double-and-add; the costing baseline.
 
     Accepts any nonempty expansion. Digit sets beyond {-1, 0, 1} get the
-    odd-multiples table up to e.digit_bound, the one the windowed driver
-    builds, so the two stay cost comparable; for signed binary digits only
-    -D is precomputed, and only when a negative digit actually occurs.
+    windowed driver's table, so the two stay cost comparable.
     """
-    bound = e.digit_bound if e.digit_bound > 1 else None
-    return _walk(
-        e, D, group, trace, fuse_dbl=False, fuse_add=False, lookahead=True, table_bound=bound
-    )
+    return _walk(e, D, group, trace, ALGORITHMS["baseline"])
 
 
 def neg_scalar_mul(
@@ -272,13 +252,11 @@ def neg_scalar_mul(
 ) -> MulResult:
     """Fully fused sign-tracking scalar multiplication.
 
-    Starts from (-1)**f * D with f = (length + weight) mod 2; that initial
-    parity absorbs the length + weight - 2 negations the loop introduces, so
-    the flag always closes at 0 and the output needs no correction. The loop
-    performs exactly length - 1 fused doubles and weight - 1 fused adds, on
-    top of the single negation that stores -D.
+    Starts from (-1)**f * D with f = (length + weight) mod 2, which absorbs
+    the loop's length - 1 fused doubles and weight - 1 fused adds, so the
+    output needs no correction; the one other negation stores -D.
     """
-    return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=True)
+    return _walk(e, D, group, trace, ALGORITHMS["neg"])
 
 
 def neg_scalar_mul_online(
@@ -295,7 +273,7 @@ def neg_scalar_mul_online(
     the end with one extra negation whenever the flag closes at 1, which
     happens for about half of all scalars.
     """
-    return _walk(e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False)
+    return _walk(e, D, group, trace, ALGORITHMS["online"])
 
 
 def mixed_scalar_mul(
@@ -318,8 +296,8 @@ def mixed_scalar_mul(
     """
     if mode not in MIXED_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MIXED_MODES}")
-    fuse_dbl = mode == "neg_doubling_only"
-    return _walk(e, D, group, trace, fuse_dbl=fuse_dbl, fuse_add=not fuse_dbl, lookahead=True)
+    algo = "neg-dbl-only" if mode == "neg_doubling_only" else "neg-add-only"
+    return _walk(e, D, group, trace, ALGORITHMS[algo])
 
 
 def windowed_neg_scalar_mul(
@@ -333,52 +311,72 @@ def windowed_neg_scalar_mul(
 
     Precomputes r*D and -(r*D) for odd r up to e.digit_bound (2**(w-1) - 1
     for a width-w NAF); a nonzero digit then resolves (-1)**f * d * D by
-    table lookup. The sign runs in the no-lookahead style: start at the
-    leading digit's table entry with f = 0 and negate once at the end if the
-    flag closes at 1. Table construction is reported separately in
-    table_ledger.
+    table lookup, and the sign is repaired at the end as online's is. Table
+    construction is reported separately in table_ledger.
     """
-    return _walk(
-        e, D, group, trace, fuse_dbl=True, fuse_add=True, lookahead=False, table_bound=e.digit_bound
-    )
+    return _walk(e, D, group, trace, ALGORITHMS["window"])
 
 
 class Algorithm(NamedTuple):
-    """A driver's recoding forms, default first, and its runner (e, D, group, trace).
+    """A driver: its recoding forms, default first, its runner, and its walk's parameters.
 
-    The runner takes its table, if any, from the expansion: a wnaf
-    recoding's width is already in e.digit_bound.
+    run(e, D, group, trace) calls the driver's function by global name, so
+    rebinding a driver (to wrap or trace it) reaches every caller of the
+    registry. _walk reads the rest. fuse_dbl / fuse_add: each doubling /
+    digit addition is the fused negate-double / negate-add, which flips the
+    sign flag f. lookahead: start at f = the parity of the loop's flips, so
+    f closes at 0, else at f = 0 with one closing negation if f ends at 1.
+    table_from: the least e.digit_bound at which the walk builds the
+    odd-multiples table up to it, or None; below it, it takes only
+    digit_bound 1 and adds D, or -D too when it can flip or meets a -1.
     """
 
     forms: tuple[str, ...]
     run: Callable[[SignedExpansion, Element, NegationAwareGroup, bool], MulResult]
+    fuse_dbl: bool
+    fuse_add: bool
+    lookahead: bool
+    table_from: int | None
+
+    def _odd(self, length: int, weight: int) -> int:
+        """The parity of the flips the loop makes over length digits, weight nonzero."""
+        return ((length - 1) * self.fuse_dbl + (weight - 1) * self.fuse_add) % 2
 
 
 # the recodings whose digits lie in {-1, 0, 1}; a width-w NAF needs a table
 _UNIT_FORMS = ("naf", "binary")
 
-# Each runner looks its driver up by global name at call time, so rebinding a
-# driver here (to wrap or trace it) reaches every caller of the registry.
 ALGORITHMS: dict[str, Algorithm] = {
     "baseline": Algorithm(
-        ("binary", "naf", "wnaf"), lambda e, D, g, t: double_and_add(e, D, g, trace=t)
+        ("binary", "naf", "wnaf"), lambda e, D, g, t: double_and_add(e, D, g, trace=t),
+        fuse_dbl=False, fuse_add=False, lookahead=True, table_from=2,
     ),
-    "neg": Algorithm(_UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul(e, D, g, trace=t)),
+    "neg": Algorithm(
+        _UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul(e, D, g, trace=t),
+        fuse_dbl=True, fuse_add=True, lookahead=True, table_from=None,
+    ),
     "online": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul_online(e, D, g, trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: neg_scalar_mul_online(e, D, g, trace=t),
+        fuse_dbl=True, fuse_add=True, lookahead=False, table_from=None,
     ),
     "neg-dbl-only": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_doubling_only", trace=t),
+        fuse_dbl=True, fuse_add=False, lookahead=True, table_from=None,
     ),
     "neg-add-only": Algorithm(
-        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t)
+        _UNIT_FORMS, lambda e, D, g, t: mixed_scalar_mul(e, D, g, "neg_addition_only", trace=t),
+        fuse_dbl=False, fuse_add=True, lookahead=True, table_from=None,
     ),
     "window": Algorithm(
-        ("wnaf",), lambda e, D, g, t: windowed_neg_scalar_mul(e, D, g, trace=t)
+        ("wnaf",), lambda e, D, g, t: windowed_neg_scalar_mul(e, D, g, trace=t),
+        fuse_dbl=True, fuse_add=True, lookahead=False, table_from=1,
     ),
 }
 
 ALGORITHM_IDS = tuple(ALGORITHMS)
+
+# the shape of a run that performs no group operation: the baseline's on the digit 1
+_NO_OPS = (ALGORITHMS["baseline"], None, 1, 1, False)
 
 
 def scalar_mul(
@@ -405,7 +403,7 @@ def scalar_mul(
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_IDS}")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError(f"scalar must be an integer, got {m!r}")
-    forms, run = ALGORITHMS[algo]
+    forms, run = ALGORITHMS[algo][:2]
     e = recode(abs(m), forms[0] if form is None else form, width)
     if form not in (None, *forms):
         listed = " or ".join(map(repr, forms))

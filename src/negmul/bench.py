@@ -2,11 +2,10 @@
 
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
 driver the chosen recoding form feeds, and counts each driver's runs by shape.
-A run's op counts are a function of its shape alone: the walk's own formula,
-algorithms._shape_counts, derives them once per distinct shape per process
-(it is memoised), and each driver's counts are summed over its shape
-classes, times the runs in each, before any price is applied (order
-independent, so a fixed seed fully determines the report). The report keeps
+A run's op counts are affine in its shape's fields, so each driver's are one
+call of the walk's own map, algorithms._op_counts, on those fields summed
+over its shape classes, times the runs in each, before any price is applied
+(order independent, so a fixed seed fully determines the report). The report keeps
 every figure as an exact rational; rendering rounds only at the very end,
 and only in table mode. A saving against a cost of 0 is None, per step as
 for a whole multiplication: JSON null, "-" in the table.
@@ -23,7 +22,7 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
-from .algorithms import ALGORITHMS, _shape_counts
+from .algorithms import ALGORITHMS, _op_counts
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     DEFAULT_RATIOS,
@@ -260,15 +259,17 @@ def run_bench(
 
 
 def _ledger_of(results: Counter) -> CostLedger:
-    """The summed ledger of the runs counted by result, one class per shape.
+    """The summed ledger of one driver's runs, counted by result, one class per shape.
 
-    Each class's op counts come from the memoised formula _shape_counts and
-    are summed, times the runs in each class, per kind into one ledger,
-    which is priced only when read.
+    One form and width per bench and no negated base: the shapes share entry
+    and table bound, and each other field, and entry._odd, times the runs in
+    each class, sums to an argument of _op_counts.
     """
     runs = results.values()
-    counts = (_shape_counts(result.shape)[0] for result in results)
-    return _ledger(sum(map(operator.mul, column, runs)) for column in zip(*counts))
+    (entry, *_), (table_bound, *_), *columns = zip(*(result.shape for result in results))
+    columns.append(map(entry._odd, *columns[:2]))
+    sums = (sum(map(operator.mul, column, runs)) for column in columns)
+    return _ledger(_op_counts(entry, table_bound, sum(runs), *sums)[0])
 
 
 def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:

@@ -142,7 +142,8 @@ def naf(m: int) -> SignedExpansion:
     plus = (triple & differ) >> 1
     minus = (m & differ) >> 1
     spread = int.from_bytes(_bits(plus), "big") + 255 * int.from_bytes(_bits(minus), "big")
-    digits = tuple(memoryview(spread.to_bytes(plus.bit_length(), "big")).cast("b"))
+    length = plus.bit_length()
+    digits = unpack(f"{length}b", spread.to_bytes(length, "big"))
     return _trusted(digits, 1, differ.bit_count())
 
 

@@ -74,7 +74,7 @@ def default_verify_algorithms() -> dict[str, Driver]:
     recode_of = lru_cache(maxsize=None)(recode)
 
     def driver(algo: str, width: int) -> Driver:
-        forms, run = ALGORITHMS[algo]
+        forms, run = ALGORITHMS[algo][:2]
         form = forms[0]
 
         def drive(m: int, D: int, group: NegationAwareGroup) -> int:

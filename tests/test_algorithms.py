@@ -30,7 +30,7 @@ from negmul import (
     windowed_neg_scalar_mul,
 )
 from negmul import algorithms
-from negmul.algorithms import _odd_multiples, _shape_counts
+from negmul.algorithms import _odd_multiples, _op_counts
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
@@ -316,7 +316,7 @@ def test_scalar_mul_window_rejects_other_forms():
     # every registry entry refuses every form it does not list, whatever m is
     g = ModularGroup(101)
     for m in SCALARS_AROUND_THE_SHORTCUTS:
-        for algo, (forms, _) in ALGORITHMS.items():
+        for algo, (forms, *_) in ALGORITHMS.items():
             with pytest.raises(ValueError, match="unknown recoding form 'bogus'"):
                 scalar_mul(m, 1, g, algo, form="bogus")
             listed = " or ".join(repr(f) for f in forms)
@@ -354,7 +354,7 @@ def test_scalar_mul_rejects_bad_widths_whatever_the_scalar():
 # every registry entry on every form it lists, wnaf at widths 2-16
 CONTRACT_RUNS = [
     (algo, form, width)
-    for algo, (forms, _) in ALGORITHMS.items()
+    for algo, (forms, *_) in ALGORITHMS.items()
     for form in forms
     for width in (range(MIN_WIDTH, MAX_WIDTH + 1) if form == "wnaf" else (4,))
 ]
@@ -379,16 +379,17 @@ def contract_scalars(algo, form, width):
     return scalars
 
 
-# per entry: the loop's doubling and addition kinds, and whether it looks
-# ahead (starts at the parity of the flips its fused steps make, so the flag
-# closes at 0) or starts at f = 0 and closes with a final_neg when they are odd
+# per entry, read off its fields: the loop's doubling and addition kinds, and
+# whether it looks ahead (starts at the parity of the flips its fused steps
+# make, so the flag closes at 0) or starts at f = 0 and closes with a
+# final_neg when they are odd
 STEP_KINDS = {
-    "baseline": ("dbl", "add", True),
-    "neg": ("neg_dbl", "neg_add", True),
-    "online": ("neg_dbl", "neg_add", False),
-    "neg-dbl-only": ("neg_dbl", "add", True),
-    "neg-add-only": ("dbl", "neg_add", True),
-    "window": ("neg_dbl", "neg_add", False),
+    algo: (
+        "neg_dbl" if entry.fuse_dbl else "dbl",
+        "neg_add" if entry.fuse_add else "add",
+        entry.lookahead,
+    )
+    for algo, entry in ALGORITHMS.items()
 }
 
 
@@ -406,7 +407,7 @@ def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
     assert (res.element.coefficient, res.trace) == (m, None), run
     assert res.ledger.counts() == g.calls, run
     # bench runs its drivers from the identity of Z/1 and reads only their
-    # ledgers, which _shape_counts counts from the shape alone
+    # ledgers, which _op_counts counts from the shape alone
     got = scalar_mul(m, TRIVIAL.identity, TRIVIAL, algo, form=form, width=width)
     assert (got.element, got.shape) == (0, res.shape), run
     if not traced:
@@ -426,6 +427,8 @@ def assert_contract(algo, form, width, m, *, traced=False, wrapped=False):
     fused = ((e.length - 1) * (dbl_kind == "neg_dbl"), (e.weight - 1) * (add_kind == "neg_add"))
     assert (traced_g.calls["neg_dbl"], traced_g.calls["neg_add"]) == fused, run
     odd = sum(fused) % 2
+    # the parity the ledger's closing negation and bench's sums read
+    assert ALGORITHMS[algo]._odd(e.length, e.weight) == odd, run
     start, closing = (odd, False) if lookahead else (0, odd == 1)
     first, last = got.trace[0], got.trace[-1]
     assert (first.f, last.kind == "final_neg", last.f) == (start, closing, 0), run
@@ -537,9 +540,36 @@ def test_table_ledger_equals_the_calls_that_build_the_table():
         assert {d: x.coefficient for d, x in table.items()} == {
             d: d for d in range(-bound, bound + 1) if d % 2
         }, bound
-        run, table = _shape_counts((1, 1, False, True, True, False, bound))
+        # the window driver's walk on one digit under that bound
+        run, table = _op_counts(ALGORITHMS["window"], bound, 1, 1, 1, False, 0)
         assert table == tuple(g.calls.values()), bound
         assert run == table, bound  # one digit: no step, no closing negation
+
+
+# one run's arguments to _op_counts after its entry, table bound and runs = 1,
+# any values at all: length, weight, negative, odd and negated
+_RUN_FIELDS = st.tuples(
+    st.integers(1, 1 << 12), st.integers(1, 1 << 12), st.booleans(), st.integers(0, 1), st.booleans()
+)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    entry=st.sampled_from(list(ALGORITHMS.values())),
+    table_bound=st.none() | st.integers(1, (1 << 15) - 1),
+    runs=st.lists(_RUN_FIELDS, min_size=1, max_size=8),
+)
+def test_op_counts_of_summed_fields_equal_the_summed_op_counts_of_the_runs(entry, table_bound, runs):
+    """The map is affine: bench counts a driver's runs with one call on their summed fields."""
+    each = [_op_counts(entry, table_bound, 1, *fields) for fields in runs]
+    run, table = _op_counts(entry, table_bound, len(runs), *map(sum, zip(*runs)))
+    assert run == tuple(map(sum, zip(*(counts for counts, _ in each))))
+    if table_bound is None:
+        assert table is None and {table for _, table in each} == {None}
+    else:
+        assert table == tuple(map(sum, zip(*(table for _, table in each))))
+    for counts in (run, table or (), *(counts for counts, _ in each)):
+        assert all(type(count) is int for count in counts)
 
 
 def test_ledgers_are_made_from_the_shape():
@@ -548,14 +578,14 @@ def test_ledgers_are_made_from_the_shape():
     res = windowed_neg_scalar_mul(e, Opaque(1), g)
     # the table up to 7: one dbl, three adds, four negs
     made = (tuple(g.calls.values()), (3, 1, 4, 0, 0))
-    # a charge to a read ledger reaches neither the memo nor a later run's reads
+    # a charge to a read ledger reaches neither the shape's counts nor a later run's reads
     for reread in (lambda: res, lambda: windowed_neg_scalar_mul(e, Opaque(1), FreeGroup())):
         for read in (lambda r: r.ledger, lambda r: r.table_ledger):
             first = read(res)
             assert read(reread()) == first and read(reread()) is not first
             first.charge("neg")
             assert read(reread()).count("neg") == first.count("neg") - 1
-            assert _shape_counts(res.shape) == made
+            assert res._counts() == made
     assert tuple(res.ledger.counts().values()) == made[0]
     assert tuple(res.table_ledger.counts().values()) == made[1]
 
@@ -571,23 +601,23 @@ def test_ledgers_are_made_from_the_shape():
 
 def test_verify_makes_no_ledger(monkeypatch):
     calls = Counter()
-    make_ledger, shape_counts = CostLedger.__init__, algorithms._shape_counts
+    make_ledger, op_counts = CostLedger.__init__, algorithms._op_counts
 
     def counting_init(self):
         calls["ledger"] += 1
         make_ledger(self)
 
-    def counting_shape_counts(shape):
-        calls["shape_counts"] += 1
-        return shape_counts(shape)
+    def counting_op_counts(*args):
+        calls["op_counts"] += 1
+        return op_counts(*args)
 
     monkeypatch.setattr(CostLedger, "__init__", counting_init)
-    monkeypatch.setattr(algorithms, "_shape_counts", counting_shape_counts)
+    monkeypatch.setattr(algorithms, "_op_counts", counting_op_counts)
     assert verify_universal_agreement(max_n=11) == (6240, [])
     assert calls == {}
     # the counters see a ledger that is read
     assert scalar_mul(5, 1, ModularGroup(11)).ledger.count("neg_dbl") == 2
-    assert calls == {"ledger": 1, "shape_counts": 1}
+    assert calls == {"ledger": 1, "op_counts": 1}
 
 
 def test_universal_agreement_small():

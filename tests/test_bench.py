@@ -30,7 +30,7 @@ from negmul import (
 )
 import negmul.bench
 from negmul import cli
-from negmul.algorithms import _shape_counts
+from negmul.algorithms import _op_counts
 from negmul.bench import _RECODE_BATCH, StepCosts, _decimal
 from negmul.recoding import recode
 
@@ -266,7 +266,7 @@ def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
             assert entry.total_weighted == total, (case, entry.algo_id)
 
 
-def test_shape_count_memo_serves_every_profile_and_ratio(monkeypatch):
+def test_repeated_benches_in_one_process_give_the_same_json(monkeypatch):
     custom = CostProfile(
         "custom",
         add_cost=CostVector(mul=9, add_f=4),
@@ -290,41 +290,34 @@ def test_shape_count_memo_serves_every_profile_and_ratio(monkeypatch):
         kwargs = dict(bits=40, samples=30, form=form, width=width, ratios=ratios, seed=5)
         return run_bench(profile, **kwargs).to_json()
 
-    cold = []
-    for call in calls:
-        _shape_counts.cache_clear()
-        cold.append(bench_json(*call))
+    first = [bench_json(*call) for call in calls]
 
-    asked = set()
+    asked = []
 
-    def recording_shape_counts(shape):
-        asked.add(shape)
-        return _shape_counts(shape)
+    def recording_op_counts(*args):
+        counts = _op_counts(*args)
+        asked.append((args, counts))
+        return counts
 
-    monkeypatch.setattr(negmul.bench, "_shape_counts", recording_shape_counts)
-    _shape_counts.cache_clear()
-    # profiles interleaved, so most calls read counts another profile cached
-    assert [bench_json(*call) for call in calls] == cold
-    info = _shape_counts.cache_info()
-    assert info.currsize == info.misses == len(asked) <= 4096
-    assert info.hits > info.misses
-    for shape in asked:
-        run, table = _shape_counts(shape)
-        for counts in (run,) if table is None else (run, table):
-            assert len(counts) == len(OP_KINDS) and all(type(count) is int for count in counts)
-    assert _shape_counts.cache_info().hits == info.hits + len(asked)
+    monkeypatch.setattr(negmul.bench, "_op_counts", recording_op_counts)
+    # profiles interleaved, so each call follows benches under other prices
+    for call, want in zip(calls, first):
+        asked.clear()
+        assert bench_json(*call) == want
+        # one map call per driver, on the sums of all its runs
+        _, _, form, _ = call
+        assert [args[0] for args, _ in asked] == [ALGORITHMS[a] for a in algorithms_for_form(form)]
+        assert {args[2] for args, _ in asked} == {30}
+        for _, (run, _table) in asked:
+            assert len(run) == len(OP_KINDS) and all(type(count) is int for count in run)
 
-    # a MulResult.ledger read and a bench call share the memo's entries
-    _shape_counts.cache_clear()
+    # reading run ledgers in between leaves a repeated bench unchanged
     _, _, form, width = calls[-1]
     for m in sample_scalars(40, 30, 5):
         e = recode(m, form, width)
         for algo in algorithms_for_form(form):
-            ALGORITHMS[algo].run(e, Opaque(1), FreeGroup(), False).ledger
-    filled = _shape_counts.cache_info()
-    assert filled.misses > 0
-    assert bench_json(*calls[-1]) == cold[-1]
-    assert _shape_counts.cache_info().misses == filled.misses
+            ALGORITHMS[algo].run(e, Opaque(1), FreeGroup(), False).ledger.charge("neg")
+    assert bench_json(*calls[-1]) == first[-1]
 
 
 def test_render_table_shows_exact_headline_numbers():

@@ -81,22 +81,22 @@ def test_mul_neg_driver(capsys):
 
 def test_mul_makes_one_ledger(monkeypatch, capsys):
     calls = Counter()
-    make_ledger, shape_counts = CostLedger.__init__, algorithms._shape_counts
+    make_ledger, op_counts = CostLedger.__init__, algorithms._op_counts
 
     def counting_init(self):
         calls["ledger"] += 1
         make_ledger(self)
 
-    def counting_shape_counts(shape):
-        calls["shape_counts"] += 1
-        return shape_counts(shape)
+    def counting_op_counts(*args):
+        calls["op_counts"] += 1
+        return op_counts(*args)
 
     monkeypatch.setattr(CostLedger, "__init__", counting_init)
-    monkeypatch.setattr(algorithms, "_shape_counts", counting_shape_counts)
+    monkeypatch.setattr(algorithms, "_op_counts", counting_op_counts)
     rc, out = run_cli(capsys, "mul", "--n", "101", "--scalar", "-17", "--algo", "neg")
     assert rc == 0
     assert out == "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n"
-    assert calls == {"ledger": 1, "shape_counts": 1}
+    assert calls == {"ledger": 1, "op_counts": 1}
 
 
 def test_mul_zero(capsys):
