@@ -140,13 +140,16 @@ def _walk(
     table's bound (1 when entry builds no table), before any group call.
     The loop counts nothing: the result records the run's shape (see
     MulResult) for _op_counts, which counts it unchecked, so these refusals
-    are the only check a shape gets; no digit is scanned to count it. Every
-    driver run pays this function's fixed work, so untraced it makes no
-    Python call but the group's and _odd_multiples.
+    are the only check a shape gets. The shape is e's stored length, weight
+    and has_negative, so no digit is read to make it. Every driver run pays
+    this function's fixed work, so untraced it makes no Python call but the
+    group's and _odd_multiples; it reads the digits from their slot, and
+    through the digits property only when the recoding deferred them.
 
     Every multiple of the identity is the identity, so an untraced walk
     whose D is group.identity returns D and its shape, after the refusals,
-    with no group call. The test is `is`, so no element is read.
+    with no group call and without reading the digits: a deferred digit
+    tuple stays unbuilt. The test is `is`, so no element is read.
 
     With trace, the loop runs on _recording's wrappers of its dbl and add,
     which append each step with the flag after it; the init and final_neg
@@ -154,8 +157,8 @@ def _walk(
     except from the identity, which only a traced walk calls the group from.
     """
     _, _, fuse_dbl, fuse_add, lookahead, table_from = entry
-    digits = e.digits
-    if not digits:
+    length = e.length
+    if not length:
         raise ValueError("empty expansion: map m = 0 to the identity before dispatching")
     table_bound = e.digit_bound
     if table_from is None or table_bound < table_from:
@@ -163,12 +166,15 @@ def _walk(
             raise ValueError(f"digit_bound {table_bound} exceeds the addend table's bound 1")
         table_bound = None
     # a negative digit matters only where nothing else stores -D
-    negative = not (fuse_dbl or fuse_add) and table_bound is None and -1 in digits
-    length, weight = len(digits), e.weight
+    negative = not (fuse_dbl or fuse_add) and table_bound is None and e.has_negative
+    weight = e.weight
     shape = (entry, table_bound, length, weight, negative)
     if not trace and D is group.identity:
         # every multiple of the identity is the identity
         return _new_result(MulResult, (D, shape, None))
+    digits = e._digits
+    if digits is None:
+        digits = e.digits
     if table_bound is not None or fuse_dbl or fuse_add or negative:
         table = _odd_multiples(D, group, table_bound or 1)
     else:

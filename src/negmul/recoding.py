@@ -8,6 +8,11 @@ unique such expansion and the sparsest signed binary one), and the width-w
 NAF whose odd digits of magnitude below 2**(w-1) pair with a precomputed
 table of odd multiples. Zero always recodes to the empty expansion.
 recode(m, form, width) selects one of them by its name in RECODING_FORMS.
+
+Every expansion stores its shape (length, weight, has_negative). The NAF
+and the bulk width-w NAF (a scalar of at least 2**64, w <= 8) read it off
+whole-integer masks; above 2**64 both gather the digit tuple only when it
+is first read.
 """
 
 from __future__ import annotations
@@ -20,7 +25,19 @@ RECODING_FORMS = ("binary", "naf", "wnaf")
 MIN_WIDTH, MAX_WIDTH = 2, 16
 
 
-class SignedExpansion:
+class _Fields:
+    """SignedExpansion's slots, which instances of this class may write.
+
+    _trusted fills one and then makes it a SignedExpansion by assigning its
+    __class__: plain slot writes and one class write cost less than a call
+    to each slot's setter, which SignedExpansion's refusal of assignment
+    leaves as the only other way in.
+    """
+
+    __slots__ = ("_digits", "_picks", "digit_bound", "length", "weight", "has_negative")
+
+
+class SignedExpansion(_Fields):
     """An immutable digit string plus the bound its digits respect.
 
     digit_bound is the magnitude cap B: every digit d satisfies |d| <= B, and
@@ -32,18 +49,25 @@ class SignedExpansion:
     error names the first bad one, then the leading digit; it builds the
     instance through _trusted, as the recodings do.
 
-    weight, the number of nonzero digits, is stored beside the digits: the
-    constructor counts it once after its checks, and each recoding passes the
-    count it made along the way to _trusted, so no reader rescans the digits.
-    It is derived from the digits, so equality, hashing and pickling use the
+    The shape is stored beside the digits: length, the number of digit
+    positions; weight, the number of nonzero digits; has_negative, whether
+    some digit is negative. Each recoding computes it from whole-integer
+    masks, or counts it as it makes the digits, and the constructor counts it
+    after its checks, so no reader scans the digits for it. A recoding may
+    defer the digits themselves: the NAF and the width-w NAF (w <= 8) of a
+    scalar of at least 2**64 store the scalar and the mask of nonzero
+    positions, and the first read of digits gathers the tuple from them
+    (_gather) and keeps it. Reading the shape never builds it. The shape is
+    derived from the digits, so equality, hashing and pickling use the
     digits and the bound alone.
     """
 
-    __slots__ = ("digits", "digit_bound", "weight")
+    __slots__ = ()
 
-    digits: tuple[int, ...]
     digit_bound: int
+    length: int
     weight: int
+    has_negative: bool
 
     def __new__(cls, digits: tuple[int, ...], digit_bound: int = 1) -> SignedExpansion:
         digits = tuple(digits)
@@ -58,7 +82,9 @@ class SignedExpansion:
                 raise ValueError(f"nonzero digits must be odd under bound {digit_bound}, got {d}")
         if digits and digits[0] <= 0:
             raise ValueError(f"leading digit must be positive, got {digits[0]}")
-        return _trusted(digits, digit_bound, len(digits) - digits.count(0))
+        length = len(digits)
+        negative = bool(digits) and min(digits) < 0
+        return _trusted(digits, digit_bound, length, length - digits.count(0), negative)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"SignedExpansion is immutable; cannot assign {name!r}")
@@ -81,9 +107,13 @@ class SignedExpansion:
         return f"SignedExpansion(digits={self.digits!r}, digit_bound={self.digit_bound!r})"
 
     @property
-    def length(self) -> int:
-        """Number of digit positions; 0 for the empty expansion."""
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        """The digits, most-significant first; a deferred tuple is gathered on first read."""
+        digits = self._digits
+        if digits is None:
+            digits = _gather(*self._picks)
+            _set_digits(self, digits)
+        return digits
 
     @property
     def value(self) -> int:
@@ -94,57 +124,66 @@ class SignedExpansion:
         return v
 
 
-# the slots' own setters, which __setattr__'s refusal does not reach
-_set_digits = SignedExpansion.digits.__set__
-_set_bound = SignedExpansion.digit_bound.__set__
-_set_weight = SignedExpansion.weight.__set__
+# the slot's own setter, which SignedExpansion's refusal of assignment does not reach
+_set_digits = _Fields._digits.__set__
+_new = object.__new__
 
 
-def _trusted(digits: tuple[int, ...], digit_bound: int, weight: int) -> SignedExpansion:
-    """The SignedExpansion of digits, built without checking them.
+def _trusted(
+    digits: tuple[int, ...] | None, digit_bound: int, length: int, weight: int,
+    has_negative: bool, picks: tuple[int, int, int, int] | None = None,
+) -> SignedExpansion:
+    """The SignedExpansion of digits and its shape, built without checking them.
 
-    weight is the count of nonzero digits, taken as given. This is the only
-    code that writes the three slots: the recodings below call it with the
-    digits and weight they made, and SignedExpansion(...) calls it after
-    checking every digit and counting the weight.
+    digits may be None when picks holds _gather's arguments, which the first
+    read of digits gathers them from. Only this and that read write the
+    slots: the recodings below call it with what they made, and
+    SignedExpansion(...) calls it after checking every digit and counting
+    the shape.
     """
-    e = object.__new__(SignedExpansion)
-    _set_digits(e, digits)
-    _set_bound(e, digit_bound)
-    _set_weight(e, weight)
+    e = _new(_Fields)
+    e._digits = digits
+    e._picks = picks
+    e.digit_bound = digit_bound
+    e.length = length
+    e.weight = weight
+    e.has_negative = has_negative
+    e.__class__ = SignedExpansion
     return e
 
 
 def binary_expansion(m: int) -> SignedExpansion:
     """Plain base-2 digits of m, most-significant first."""
     _require_nonnegative(m)
-    return _trusted(tuple(_bits(m)) if m else (), 1, m.bit_count())
+    return _trusted(tuple(_bits(m)) if m else (), 1, m.bit_length(), m.bit_count(), False)
+
+
+# _greedy_steps(2)[1], the NAF's gather factor: a window's low bit, plus 254 times its top bit
+_NAF_GATHER = 510
 
 
 def naf(m: int) -> SignedExpansion:
     """Nonadjacent form of m, the canonical sparsest signed binary expansion.
 
     Read off 3m: NAF digit i - 1 is nonzero exactly where 3m and m differ at
-    bit i > 0, and it is +1 where 3m has that bit, -1 where m has it.
-    The weight is the number of such bits.
+    bit i > 0, and it is +1 where 3m has that bit, -1 where m has it. So
+    (3m ^ m) >> 1 is the mask of nonzero positions: its bit length is the
+    expansion's length, its bit count the weight, and some digit is negative
+    when m meets 3m ^ m above bit 0.
 
-    The digits come from one byte conversion: plus and minus, spread to one
-    byte per bit, are added as plus + 255 * minus (the two never share a bit,
-    so no byte carries), and the bytes, read as signed chars, are the digits
-    with 255 as -1. The top digit is plus's top bit, so plus's bit length is
-    the expansion's length.
+    These are the positions the greedy choice of the width-w NAF makes at
+    w = 2, and its digits are the NAF's, so _gather makes them from m and
+    the mask. For a scalar of at least 2**64 they are deferred, as the bulk
+    width-w NAF's are: the first read of digits gathers them, and a reader
+    of the shape alone never does. Below, they are gathered at once, which
+    costs less than deferring them when they are read.
     """
     _require_nonnegative(m)
-    if m == 0:
-        return _trusted((), 1, 0)
-    triple = 3 * m
-    differ = triple ^ m
-    plus = (triple & differ) >> 1
-    minus = (m & differ) >> 1
-    spread = int.from_bytes(_bits(plus), "big") + 255 * int.from_bytes(_bits(minus), "big")
-    length = plus.bit_length()
-    digits = unpack(f"{length}b", spread.to_bytes(length, "big"))
-    return _trusted(digits, 1, differ.bit_count())
+    differ = 3 * m ^ m
+    chosen = differ >> 1
+    picks = (m, chosen, 2, _NAF_GATHER)
+    digits = None if m >> 64 else _gather(*picks)
+    return _trusted(digits, 1, chosen.bit_length(), chosen.bit_count(), m & differ > 1, picks)
 
 
 def width_w_naf(m: int, w: int) -> SignedExpansion:
@@ -163,15 +202,15 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     when the window's top bit is set. Two paths compute this expansion.
 
     A scalar of at least 2**64 with w <= 8 takes _wide_width_w_naf, a few
-    whole-integer operations and one table step per byte of m; its weight is
-    the bit count of the mask of chosen positions. Any other scans m's binary
-    string from the low end, with w zeros padded above the top bit so that a
-    final carry lands, and reads each window's digit from _window_digits by
-    its upper w - 1 bits: O(w) string work per nonzero digit and no
-    operation on an m-sized integer. The scan counts the digits it finds as
-    the expansion's weight. The scan is the faster path below 16 to 48 bits,
-    by width, and the only one above w = 8, where a digit no longer fits a
-    signed byte.
+    whole-integer operations and one table step per byte of m, which stores
+    the shape and defers the digits. Any other scans m's binary string from
+    the low end, with w zeros padded above the top bit so that a final carry
+    lands, and reads each window's digit from _window_digits by its upper
+    w - 1 bits: O(w) string work per nonzero digit and no operation on an
+    m-sized integer. The scan makes the digits at once, and counts the
+    digits it finds, and the negative ones, for the shape. The scan is the
+    faster path below 16 to 48 bits, by width, and the only one above
+    w = 8, where a digit no longer fits a signed byte.
     """
     _require_nonnegative(m)
     if not isinstance(w, int) or isinstance(w, bool):
@@ -186,13 +225,18 @@ def width_w_naf(m: int, w: int) -> SignedExpansion:
     top = len(bits)
     find = bits.rfind
     weight = 0
+    negative = False
     j = find("1")
     while j >= 0:
         top, start = j, j - w + 1
         d = digits[j] = windows[bits[start:j]]
         weight += 1
-        j = find("0" if d < 0 else "1", 0, start)
-    return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1, weight)
+        if d < 0:
+            negative = True
+            j = find("0", 0, start)
+        else:
+            j = find("1", 0, start)
+    return _trusted(tuple(digits[top:]), (1 << (w - 1)) - 1, len(bits) - top, weight, negative)
 
 
 def _wide_width_w_naf(m: int, w: int) -> SignedExpansion:
@@ -202,16 +246,11 @@ def _wide_width_w_naf(m: int, w: int) -> SignedExpansion:
     m ^ (m << 1): the lowest is chosen, and each chosen position p blocks
     p + 1 ... p + w - 1. _greedy_steps(w) makes that choice a byte at a time
     from the low end. The bits it picks make chosen, the mask of nonzero
-    positions: its bit length is the expansion's length, its bit count the
-    weight.
-
-    Chosen positions lie at least w apart, so their windows are disjoint,
-    and setting each one's low bit in m changes no other window. Spread to
-    one byte per bit, m | chosen times the width's gather factor puts into
-    byte p + w - 1 the window that starts at p, its top bit weighted
-    256 - 2**(w-1) in place of 2**(w-1): the digit as a signed byte, at most
-    255, so no byte carries. Shifted down w - 1 bytes, masked to the chosen
-    positions and read as signed chars, the bytes are the digits.
+    positions, which is the shape: its bit length is the expansion's length,
+    its bit count the weight, and the digit at p is negative when the top
+    bit of its window, bit p + w - 1 of m, is set, so some digit is when
+    chosen meets m >> (w - 1). The digits are deferred to their first read,
+    which gathers them from m and chosen (_gather).
     """
     steps, gather = _greedy_steps(w)
     starts = m ^ (m << 1)
@@ -222,16 +261,35 @@ def _wide_width_w_naf(m: int, w: int) -> SignedExpansion:
         picked, keep = steps[keep & c]
         pick(picked)
     chosen = int.from_bytes(bytes(picks), "little")
+    negative = chosen & (m >> (w - 1)) != 0
+    return _trusted(
+        None, (1 << (w - 1)) - 1, chosen.bit_length(), chosen.bit_count(), negative,
+        (m, chosen, w, gather),
+    )
+
+
+def _gather(m: int, chosen: int, w: int, gather: int) -> tuple[int, ...]:
+    """The digits of the width-w NAF of m, for 2 <= w <= 8, whose nonzero positions chosen sets.
+
+    Chosen positions lie at least w apart, so their windows are disjoint,
+    and setting each one's low bit in m changes no other window. Spread to
+    one byte per bit, m | chosen times the width's gather factor puts into
+    byte p + w - 1 the window that starts at p, its top bit weighted
+    256 - 2**(w-1) in place of 2**(w-1): the digit as a signed byte, at most
+    255, so no byte carries. Shifted down w - 1 bytes, masked to the chosen
+    positions and read as signed chars, the bytes are the digits. At w = 2
+    the window is the low bit, 1, and the next bit of m, weighted 254: the
+    digit is +1, or -1 where m has that bit, as the NAF's is.
+    """
     lanes = int.from_bytes(_bits(m | chosen), "big") * gather >> 8 * w - 8
     lanes &= int.from_bytes(_bits(chosen), "big") * 255
     length = chosen.bit_length()
-    digits = unpack(f"{length}b", lanes.to_bytes(length, "big"))
-    return _trusted(digits, (1 << (w - 1)) - 1, chosen.bit_count())
+    return unpack(f"{length}b", lanes.to_bytes(length, "big"))
 
 
 @cache
 def _greedy_steps(w: int) -> tuple[list[tuple[int, int]], int]:
-    """The byte-step table of _wide_width_w_naf at width w, and its gather factor.
+    """The byte-step table of _wide_width_w_naf at width w, and _gather's factor.
 
     Entry c of the table is the greedy choice within a byte c of run starts
     whose blocked low bits are already cleared: the bits chosen, and the

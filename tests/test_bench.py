@@ -29,6 +29,7 @@ from negmul import (
     weighted_total,
 )
 import negmul.bench
+import negmul.recoding
 from negmul import cli
 from negmul.algorithms import _op_counts
 from negmul.bench import _RECODE_BATCH, StepCosts, _decimal
@@ -395,3 +396,51 @@ def test_report_json_is_pinned_for_seed_0(profile, form, width, digest, monkeypa
     for kind in OP_KINDS:
         monkeypatch.setattr(ModularGroup, kind, no_group_op)
     assert bench_digest() == digest
+
+
+# perfbench's seed-0 pins (REFERENCE_SHA256 in perfbench/run.py) of the
+# bench-naf160 and bench-wnaf4096 calls, whose scalars all lie above 2**64
+LONG_BENCH_PINS = [
+    (
+        ["--bits", "160", "--form", "naf", "--samples", "100"],
+        "83f2db0e6c8b585b8be839a9fcf79e8385bca24ae2a6c32f996eaa2d3e225f08",
+    ),
+    (
+        ["--bits", "4096", "--form", "wnaf", "--width", "4", "--samples", "4"],
+        "5baef3e149b703bf24874ddeefcd19cb08b6b36e343109837a48af12737fab31",
+    ),
+]
+
+
+class _Gathered(Exception):
+    pass
+
+
+def test_long_benches_build_no_digit_tuple(monkeypatch, capsys):
+    def no_gather(*args):
+        raise _Gathered
+
+    monkeypatch.setattr(negmul.recoding, "_gather", no_gather)
+    # bench's walks start from the identity and read the shape alone
+    for args, digest in LONG_BENCH_PINS:
+        assert cli.main(["bench", "picard", *args, "--format", "json", "--seed", "0"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
+    # recode and mul read the digits, so the patched gather is the one they reach
+    m = str((1 << 159) + 0x5DEECE66D)
+    calls = [
+        ["recode", m, "naf"],
+        ["recode", m, "wnaf", "--width", "4"],
+        ["mul", "--n", "101", "--scalar", m, "--algo", "neg"],
+        ["mul", "--n", "101", "--scalar", m, "--algo", "window"],
+    ]
+    for argv in calls:
+        with pytest.raises(_Gathered):
+            cli.main(argv)
+    monkeypatch.undo()
+    for argv in calls:
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "recode":
+            assert re.fullmatch(r"1( (-?\d+))*, l=16\d, w=\d+\n", out), out
+        else:
+            assert out.startswith(f"{int(m) % 101}\nops: "), out

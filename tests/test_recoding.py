@@ -251,9 +251,10 @@ def test_naf_and_binary_equal_the_references(m):
     assert_weight_counted(b)
 
 
-# naf spreads its plus and minus bits to one byte per digit and reads the sum
-# back as signed chars; runs of ones (2**k - 1) end in a -1 with a carry into
-# a new top digit, and 2**k + 1 keeps both ends of a long run of zeros.
+# naf's digits come from the w = 2 gather, which spreads m and the nonzero
+# positions to one byte per digit and reads the masked sum back as signed
+# chars; runs of ones (2**k - 1) end in a -1 with a carry into a new top
+# digit, and 2**k + 1 keeps both ends of a long run of zeros.
 def test_naf_byte_conversion_edge_cases():
     ms = [(1 << k) + s for k in range(1, 301) for s in (-1, 1)]
     for m in (*ms, (1 << 4096) - 1):
@@ -329,13 +330,17 @@ def test_expansion_validation():
 
 def test_every_recoding_passes_the_public_checks():
     # the recodings build their results without SignedExpansion's checks, so
-    # each is rebuilt here through SignedExpansion(...), which runs them all
-    for m in (*range(1 << 12), *SEEDED_4096):
+    # each is rebuilt here through SignedExpansion(...), which runs them all;
+    # above 2**64 a random scalar almost surely has a negative digit, so the
+    # low byte under a single high bit varies whether the bulk paths find one
+    for m in (*range(1 << 12), *SEEDED_4096, *((1 << 70) + s for s in range(1 << 8))):
         for e in (binary_expansion(m), naf(m), *(width_w_naf(m, w) for w in WIDTHS)):
             rebuilt = SignedExpansion(e.digits, e.digit_bound)
             assert rebuilt == e, (m, e)
-            # == compares digits and bound only; the stored weight is checked apart
+            # == compares digits and bound only; the stored shape is checked apart
             assert rebuilt.weight == e.weight == len(e.digits) - e.digits.count(0), (m, e)
+            assert rebuilt.length == e.length == len(e.digits), (m, e)
+            assert rebuilt.has_negative is e.has_negative, (m, e)
 
 
 def test_stored_weight_survives_pickling_and_cannot_be_changed():
@@ -351,3 +356,28 @@ def test_stored_weight_survives_pickling_and_cannot_be_changed():
 
 def test_expansion_accepts_list_input():
     assert SignedExpansion([1, 0, -1]).digits == (1, 0, -1)
+
+
+@given(
+    tail=st.lists(st.sampled_from((-3, -1, 0, 1, 3)), max_size=40),
+    lead=st.sampled_from((1, 3)),
+    bound=st.sampled_from((1, 3)),
+)
+def test_constructor_stores_whether_some_digit_is_negative(tail, lead, bound):
+    digits = [lead, *tail] if bound == 3 else [1, *(d for d in tail if abs(d) < 2)]
+    e = SignedExpansion(digits, bound)
+    assert e.has_negative is any(d < 0 for d in digits)
+    assert e.length == len(digits)
+    assert SignedExpansion(()).has_negative is False
+
+
+def test_deferred_digits_are_gathered_once_and_kept():
+    m = (1 << 100) + 12345
+    for e in (naf(m), width_w_naf(m, 5)):
+        first = e.digits
+        assert e.digits is first
+        assert first == SignedExpansion(first, e.digit_bound).digits
+        with pytest.raises(AttributeError):
+            e.digits = first
+        with pytest.raises(AttributeError):
+            e.has_negative = not e.has_negative

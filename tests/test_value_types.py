@@ -13,6 +13,7 @@ from negmul import (
     CostRatios,
     CostVector,
     SignedExpansion,
+    naf,
     run_bench,
 )
 from negmul.bench import AlgorithmEntry, StepCosts
@@ -93,3 +94,19 @@ def test_signed_expansion_is_not_a_sequence():
     with pytest.raises(AttributeError):
         del e.digits
     assert copy.copy(e) == e == pickle.loads(pickle.dumps(e))
+
+
+def test_a_naf_whose_digits_were_never_read_equals_its_eager_rebuild():
+    m = (1 << 64) + 0x5A5A5A5A5A5A5A5B
+    digits = naf(m).digits
+    rebuilt = SignedExpansion(digits)
+    # each check runs on a fresh naf, so that it is the first read of its digits
+    assert naf(m) == rebuilt and rebuilt == naf(m)
+    assert hash(naf(m)) == hash(rebuilt)
+    assert repr(naf(m)) == repr(rebuilt)
+    assert copy.copy(naf(m)) == rebuilt
+    assert pickle.loads(pickle.dumps(naf(m))) == rebuilt
+    assert pickle.dumps(naf(m)) == pickle.dumps(rebuilt)
+    e = naf(m)
+    weight = len(digits) - digits.count(0)
+    assert (e.length, e.weight, e.has_negative) == (len(digits), weight, -1 in digits)
