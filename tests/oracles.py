@@ -1,9 +1,14 @@
 """Independent brute-force references the library must agree with."""
 
 from collections import defaultdict
+from functools import cache, reduce
+from random import Random
 
 from negmul import OP_KINDS, ModularGroup, NegationAwareGroup
 from negmul.verify import MAX_MISMATCHES, VERIFY_PRIMES, Mismatch
+
+# 25 seeded scalars of exactly 4096 bits
+SEEDED_4096 = [rng.getrandbits(4096) | 1 << 4095 for rng in [Random(2003)] for _ in range(25)]
 
 
 class Opaque:
@@ -33,14 +38,16 @@ class FreeGroup(NegationAwareGroup):
     computed: it equals m exactly when the product is right in every group
     at once. A driver that reads an element fails on the Opaque, and calls
     shows which operations it made; a fused call counts once, as itself.
+    Its identity is one fixed Opaque(0), which a walk can find with `is`.
     """
 
     def __init__(self):
         self.calls = dict.fromkeys(OP_KINDS, 0)
+        self.zero = Opaque(0)
 
     @property
     def identity(self):
-        return Opaque(0)
+        return self.zero
 
     def add(self, a, b):
         self.calls["add"] += 1
@@ -85,6 +92,25 @@ def reference_width_w_naf(m, w):
     return tuple(digits)
 
 
+@cache
+def digit_alphabet(bound):
+    """The digits a SignedExpansion under bound may hold: -1, 0 and 1 at bound 1,
+    else 0 and the odd digits of magnitude at most bound."""
+    return (-1, 0, 1) if bound == 1 else (0, *(d for r in range(1, bound + 1, 2) for d in (r, -r)))
+
+
+def digit_strings(bound, max_len, keep=lambda digits: True):
+    """Every valid digit string under bound with a positive leading digit and at
+    most max_len digits that keep holds of, shortest first; keep must hold of
+    every prefix of a string it holds of, since a string it fails is not extended."""
+    alphabet = digit_alphabet(bound)
+    strings = [(d,) for d in alphabet if d > 0]
+    for _ in range(max_len):
+        strings = [digits for digits in strings if keep(digits)]
+        yield from strings
+        strings = [digits + (d,) for digits in strings for d in alphabet]
+
+
 def nonadjacent_expansions(max_len):
     """All digit strings over {-1, 0, 1} with leading digit +1, no two adjacent
     nonzero digits, and length <= max_len, grouped by value.
@@ -95,14 +121,8 @@ def nonadjacent_expansions(max_len):
     """
     by_value = defaultdict(list)
     by_value[0].append(())
-    stack = [((1,), 1, True)]
-    while stack:
-        digits, value, last_nonzero = stack.pop()
-        by_value[value].append(digits)
-        if len(digits) == max_len:
-            continue
-        for d in (0,) if last_nonzero else (-1, 0, 1):
-            stack.append((digits + (d,), 2 * value + d, d != 0))
+    for digits in digit_strings(1, max_len, lambda s: not (len(s) > 1 and s[-2] and s[-1])):
+        by_value[reduce(lambda value, d: 2 * value + d, digits)].append(digits)
     return by_value
 
 

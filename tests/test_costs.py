@@ -58,7 +58,7 @@ positive_st = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     cost=st.builds(CostVector, big_counts_st, big_counts_st, big_counts_st, big_counts_st),
     ratios=st.builds(CostRatios, fraction_texts_st, fraction_texts_st, fraction_texts_st),
@@ -74,7 +74,7 @@ def test_weighted_total_equals_its_term_by_term_sum(cost, ratios):
     )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(base=positive_st, improved=st.one_of(big_counts_st, st.fractions(max_denominator=1 << 64)))
 def test_savings_percent_equals_the_fraction_formula(base, improved):
     saving = savings_percent(base, improved)
@@ -82,7 +82,7 @@ def test_savings_percent_equals_the_fraction_formula(base, improved):
     assert saving == (Fraction(base) - Fraction(improved)) / Fraction(base) * 100
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(base=st.one_of(st.integers(max_value=0), st.fractions(max_value=0, max_denominator=1 << 64)))
 def test_savings_percent_refuses_a_base_that_is_not_positive(base):
     with pytest.raises(ValueError, match=f"^base cost must be positive, got {Fraction(base)}$"):
@@ -291,7 +291,7 @@ counts_st = st.integers(0, 1 << 70)
 vectors_st = st.builds(CostVector, counts_st, counts_st, counts_st, counts_st)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     counts=st.fixed_dictionaries({kind: counts_st for kind in OP_KINDS}),
     prices=st.fixed_dictionaries({kind: vectors_st for kind in OP_KINDS}),

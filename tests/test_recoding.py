@@ -2,34 +2,36 @@
 
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negmul import SignedExpansion, binary_expansion, naf, width_w_naf
-from negmul.recoding import MAX_WIDTH, MIN_WIDTH, _greedy_steps
+from negmul import RECODING_FORMS, SignedExpansion, binary_expansion, naf, width_w_naf
+from negmul.recoding import MAX_WIDTH, MIN_WIDTH, _greedy_steps, recode
 
-from oracles import min_window_weight, nonadjacent_expansions, reference_width_w_naf
+from oracles import SEEDED_4096, min_window_weight, nonadjacent_expansions, reference_width_w_naf
 
 WIDTHS = range(MIN_WIDTH, MAX_WIDTH + 1)
-_rng = random.Random(2003)
-# the contract sweep's seeded scalars (tests/test_algorithms.py)
-SEEDED_4096 = [_rng.getrandbits(4096) | 1 << 4095 for _ in range(25)]
 
 
-def has_adjacent_nonzeros(digits):
-    return any(a and b for a, b in zip(digits, digits[1:]))
-
-
-def window_property_holds(digits, w):
-    nonzero = [i for i, d in enumerate(digits) if d]
-    return all(b - a >= w for a, b in zip(nonzero, nonzero[1:]))
-
-
-def assert_weight_counted(e):
-    """The weight a recoding stored equals the count of e's nonzero digits."""
-    assert e.weight == len(e.digits) - e.digits.count(0), e
+def assert_recoding_contract(e, m, form, w=None):
+    """e, m recoded as form (at width w for wnaf), has m's value, the form's
+    digit_bound, a positive lead, a stored shape that counts its digits, and
+    passes SignedExpansion's checks, which the recodings skip; binary digits
+    lie in {0, 1}, and nonzero ones lie 2 apart in a NAF, w in a width-w NAF."""
+    digits, bound = e.digits, (1 << (w - 1)) - 1 if form == "wnaf" else 1
+    assert (e.value, e.digit_bound) == (m, bound), (m, form, w)
+    assert digits[0] > 0 if m else digits == (), (m, form, w)
+    negative = min(digits, default=0) < 0
+    shape = (e.length, e.weight, e.has_negative is negative)
+    assert shape == (len(digits), len(digits) - digits.count(0), True), (m, form, w)
+    assert SignedExpansion(digits, bound) == e, (m, form, w)
+    assert not (form == "binary" and negative), m
+    # no two nonzero digits closer than 2 places in a NAF, w in a width-w NAF
+    closer = rb"\x01\x00{0,%d}\x01" % ((w or 2) - 2)
+    assert form == "binary" or not re.search(closer, bytes(map(bool, digits))), (m, form, w)
 
 
 def test_binary_examples():
@@ -44,14 +46,8 @@ def test_binary_rejects_negative():
 
 
 def test_naf_examples():
-    e3 = naf(3)
-    assert e3.digits == (1, 0, -1)
-    assert e3.value == 3
-    assert not has_adjacent_nonzeros(e3.digits)
-    e7 = naf(7)
-    assert e7.digits == (1, 0, 0, -1)
-    assert e7.value == 7
-    assert not has_adjacent_nonzeros(e7.digits)
+    assert naf(3).digits == (1, 0, -1)
+    assert naf(7).digits == (1, 0, 0, -1)
     assert naf(4).digits == (1, 0, 0)
 
 
@@ -80,20 +76,6 @@ def test_length_weight_value():
     assert (empty.length, empty.weight, empty.value) == (0, 0, 0)
 
 
-def test_round_trip_exhaustive_small():
-    for m in range(1 << 14):
-        assert binary_expansion(m).value == m
-        assert naf(m).value == m
-    for w in (2, 3, 4, 5):
-        for m in range(1 << 12):
-            assert width_w_naf(m, w).value == m
-
-
-def test_naf_nonadjacency_exhaustive_small():
-    for m in range(1 << 14):
-        assert not has_adjacent_nonzeros(naf(m).digits)
-
-
 def test_naf_length_relation():
     for m in range(1, 1 << 14):
         assert naf(m).length in (m.bit_length(), m.bit_length() + 1)
@@ -110,17 +92,6 @@ def test_round_trip_random_large():
                 assert width_w_naf(m, w).value == m
 
 
-def test_wnaf_digit_set_and_window_property():
-    for w in (3, 4):
-        bound = (1 << (w - 1)) - 1
-        for m in range(1 << 12):
-            e = width_w_naf(m, w)
-            assert e.digit_bound == bound
-            for d in e.digits:
-                assert d == 0 or (d % 2 and abs(d) <= bound)
-            assert window_property_holds(e.digits, w)
-
-
 def test_wnaf_equals_the_digit_by_digit_reference_small():
     for w in WIDTHS:
         for m in range(1 << 12):
@@ -130,11 +101,10 @@ def test_wnaf_equals_the_digit_by_digit_reference_small():
 def assert_wnaf_equals_the_reference(m, w):
     e = width_w_naf(m, w)
     assert e.digits == reference_width_w_naf(m, w), (m, w)
-    assert e.value == m
-    assert_weight_counted(e)
+    assert_recoding_contract(e, m, "wnaf", w)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(m=st.integers(0, (1 << 4096) - 1), w=st.sampled_from(WIDTHS))
 def test_wnaf_equals_the_digit_by_digit_reference(m, w):
     assert_wnaf_equals_the_reference(m, w)
@@ -143,7 +113,7 @@ def test_wnaf_equals_the_digit_by_digit_reference(m, w):
 # A uniform draw below 2**4096 is almost always about 4096 bits long; drawing
 # the bit length first reaches every size, both sides of the 2**64 boundary
 # between width_w_naf's two paths included.
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     m=st.integers(0, 4096).flatmap(lambda k: st.integers(1 << k >> 1, (1 << k) - 1)),
     w=st.sampled_from(WIDTHS),
@@ -241,14 +211,14 @@ def test_naf_and_binary_equal_the_references_small():
         assert binary_expansion(m).digits == bin_digits(m), m
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(m=st.integers(0, (1 << 4096) - 1))
 def test_naf_and_binary_equal_the_references(m):
     e, b = naf(m), binary_expansion(m)
     assert e.digits == reference_width_w_naf(m, 2)
     assert b.digits == bin_digits(m)
-    assert_weight_counted(e)
-    assert_weight_counted(b)
+    assert_recoding_contract(e, m, "naf")
+    assert_recoding_contract(b, m, "binary")
 
 
 # naf's digits come from the w = 2 gather, which spreads m and the nonzero
@@ -260,9 +230,9 @@ def test_naf_byte_conversion_edge_cases():
     for m in (*ms, (1 << 4096) - 1):
         e = naf(m)
         assert e.digits == reference_width_w_naf(m, 2), m
-        assert all(type(d) is int and d in (-1, 0, 1) for d in e.digits), m
+        assert all(type(d) is int for d in e.digits), m
         assert e.length in (m.bit_length(), m.bit_length() + 1), m
-        assert_weight_counted(e)
+        assert_recoding_contract(e, m, "naf")
 
 
 def test_naf_and_binary_reject_what_they_cannot_recode():
@@ -329,18 +299,15 @@ def test_expansion_validation():
 
 
 def test_every_recoding_passes_the_public_checks():
-    # the recodings build their results without SignedExpansion's checks, so
-    # each is rebuilt here through SignedExpansion(...), which runs them all;
-    # above 2**64 a random scalar almost surely has a negative digit, so the
-    # low byte under a single high bit varies whether the bulk paths find one
-    for m in (*range(1 << 12), *SEEDED_4096, *((1 << 70) + s for s in range(1 << 8))):
-        for e in (binary_expansion(m), naf(m), *(width_w_naf(m, w) for w in WIDTHS)):
-            rebuilt = SignedExpansion(e.digits, e.digit_bound)
-            assert rebuilt == e, (m, e)
-            # == compares digits and bound only; the stored shape is checked apart
-            assert rebuilt.weight == e.weight == len(e.digits) - e.digits.count(0), (m, e)
-            assert rebuilt.length == e.length == len(e.digits), (m, e)
-            assert rebuilt.has_negative is e.has_negative, (m, e)
+    # small scalars, both sides of 2**64, where naf and width_w_naf (w <= 8)
+    # turn to their bulk paths, and large ones; a random one almost surely has
+    # a negative digit, so the low byte under 2**70 varies whether one is found
+    large = (*((1 << k) + s for k in range(56, 81) for s in (-1, 0, 1)), *SEEDED_4096)
+    large += tuple((1 << 70) + s for s in range(1 << 8))
+    for form in RECODING_FORMS:
+        for w in WIDTHS if form == "wnaf" else (None,):
+            for m in (*range(1 << (12 if w else 14)), *large):
+                assert_recoding_contract(recode(m, form, w), m, form, w)
 
 
 def test_stored_weight_survives_pickling_and_cannot_be_changed():
@@ -351,7 +318,7 @@ def test_stored_weight_survives_pickling_and_cannot_be_changed():
             e.weight = e.weight + 1
         with pytest.raises(AttributeError):
             del e.weight
-        assert_weight_counted(e)
+        assert e.weight == len(e.digits) - e.digits.count(0), e
 
 
 def test_expansion_accepts_list_input():
