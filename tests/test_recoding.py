@@ -298,16 +298,35 @@ def test_expansion_validation():
             SignedExpansion(digits, bound)
 
 
+def assert_contract_sweep(forms, ms):
+    for form in forms:
+        for w in WIDTHS if form == "wnaf" else (None,):
+            for m in ms:
+                assert_recoding_contract(recode(m, form, w), m, form, w)
+
+
+# The recoding contract runs once per form and scalar set, split over four
+# tests: every m < 2**14 for binary and NAF, every m < 2**12 for wNAF at every
+# width, and the large scalars for every form.
+def test_round_trip_exhaustive_small():
+    assert_contract_sweep(("binary",), range(1 << 14))
+
+
+def test_naf_nonadjacency_exhaustive_small():
+    assert_contract_sweep(("naf",), range(1 << 14))
+
+
+def test_wnaf_digit_set_and_window_property():
+    assert_contract_sweep(("wnaf",), range(1 << 12))
+
+
 def test_every_recoding_passes_the_public_checks():
-    # small scalars, both sides of 2**64, where naf and width_w_naf (w <= 8)
-    # turn to their bulk paths, and large ones; a random one almost surely has
-    # a negative digit, so the low byte under 2**70 varies whether one is found
+    # both sides of 2**64, where naf and width_w_naf (w <= 8) turn to their
+    # bulk paths, and large ones; a random one almost surely has a negative
+    # digit, so the low byte under 2**70 varies whether one is found
     large = (*((1 << k) + s for k in range(56, 81) for s in (-1, 0, 1)), *SEEDED_4096)
     large += tuple((1 << 70) + s for s in range(1 << 8))
-    for form in RECODING_FORMS:
-        for w in WIDTHS if form == "wnaf" else (None,):
-            for m in (*range(1 << (12 if w else 14)), *large):
-                assert_recoding_contract(recode(m, form, w), m, form, w)
+    assert_contract_sweep(RECODING_FORMS, large)
 
 
 def test_stored_weight_survives_pickling_and_cannot_be_changed():
