@@ -8,6 +8,7 @@ rational M-equivalents with presets for curve families where the fused
 operations genuinely cost less.
 """
 
+from . import costs
 from .algorithms import (
     ALGORITHM_IDS,
     ALGORITHMS,
@@ -32,7 +33,6 @@ from .backends import (
 )
 from .bench import BenchReport, algorithms_for_form, run_bench, sample_scalars
 from .costs import (
-    DEFAULT_RATIOS,
     OP_KINDS,
     ZERO_COST,
     CostLedger,
@@ -53,6 +53,14 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> CostRatios:
+    # DEFAULT_RATIOS is made on its first read (negmul.costs), so it is forwarded, not imported
+    if name == "DEFAULT_RATIOS":
+        return costs.DEFAULT_RATIOS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALGORITHM_IDS",

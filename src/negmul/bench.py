@@ -17,26 +17,29 @@ import math
 import operator
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algorithms import ALGORITHMS, _op_counts
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
-    DEFAULT_RATIOS,
     OP_KINDS,
     CostLedger,
     CostRatios,
     CostVector,
     SameClassEquality,
+    _DEFAULT,
+    _default_ratios,
     _ledger,
     savings_percent,
     weighted_total,
 )
 from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MIN_BITS, MAX_BITS = 8, 4096
 # Scalars recoded at once, each expansion then run by every driver; bounds
@@ -202,16 +205,21 @@ def run_bench(
     samples: int,
     form: str = "naf",
     width: int = 4,
-    ratios: CostRatios = DEFAULT_RATIOS,
+    ratios: CostRatios = _DEFAULT,
     seed: int = 0,
 ) -> BenchReport:
-    """Run every applicable driver over a seeded sample and aggregate exact costs."""
+    """Run every applicable driver over a seeded sample and aggregate exact costs.
+
+    ratios defaults to DEFAULT_RATIOS.
+    """
     if form not in RECODING_FORMS:
         raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
     # Only shapes are read, so every driver runs from the identity of the
     # one-element group Z/1, where a walk returns its shape and makes no
     # group call. The wrapper refuses a profile that is not a CostProfile.
     group = CostChargingGroup(ModularGroup(1), profile)
+    if ratios is _DEFAULT:
+        ratios = _default_ratios()
     if not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
     scalars = sample_scalars(bits, samples, seed)

@@ -10,10 +10,11 @@ import re
 import sys
 from functools import cache
 
+from . import costs
 from .algorithms import ALGORITHM_IDS, ALGORITHMS, scalar_mul
 from .backends import PRESETS, ModularGroup, load_profile, preset
 from .bench import MAX_BITS, MIN_BITS, run_bench
-from .costs import DEFAULT_RATIOS, OP_KINDS, CostRatios
+from .costs import OP_KINDS, CostRatios
 from .recoding import MAX_WIDTH, MIN_WIDTH, RECODING_FORMS, recode
 from .verify import MAX_VERIFY_N, MIN_VERIFY_N, verify_universal_agreement
 
@@ -172,7 +173,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             args.parser.error("--profile is only valid with preset 'custom'")
         profile = preset(args.preset)
         file_ratios = None
-    base = file_ratios if file_ratios is not None else DEFAULT_RATIOS
+    base = file_ratios if file_ratios is not None else costs.DEFAULT_RATIOS
     given = {key: text for key in CostRatios._fields if (text := getattr(args, key)) is not None}
     ratios = base
     if given:

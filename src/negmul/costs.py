@@ -7,15 +7,32 @@ and a CostLedger counts the group operations one scalar-multiplication run
 actually did, for its reader to price. Totals and percentages stay in
 fractions.Fraction throughout, so every derived figure is exact and
 comparisons in tests need no tolerance.
+
+fractions, which loads decimal and numbers, is imported on the first use of
+a ratio, a weighted total or a saving, so that importing the package costs
+none of it. DEFAULT_RATIOS is made on its first read.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, NoReturn
+from functools import cache
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, NoReturn
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
+
+_Fraction = None  # fractions.Fraction once _fraction() has imported it
+
+
+def _fraction() -> type[Fraction]:
+    """fractions.Fraction, imported on the first call and bound to _Fraction for the rest."""
+    global _Fraction
+    from fractions import Fraction as _Fraction
+
+    return _Fraction
 
 
 class SameClassEquality:
@@ -112,10 +129,11 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
 
     def __new__(
         cls,
-        sqr_per_mul: Fraction | int | str = Fraction(2, 3),
-        inv_per_mul: Fraction | int | str = Fraction(10),
-        addf_per_mul: Fraction | int | str = Fraction(0),
+        sqr_per_mul: Fraction | int | str = "2/3",
+        inv_per_mul: Fraction | int | str = 10,
+        addf_per_mul: Fraction | int | str = 0,
     ) -> CostRatios:
+        Fraction = _Fraction or _fraction()
         ratios = []
         for name, value in zip(cls._fields, (sqr_per_mul, inv_per_mul, addf_per_mul)):
             try:
@@ -130,15 +148,39 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
         return super().__new__(cls, *ratios)
 
 
-DEFAULT_RATIOS = CostRatios()
+@cache
+def _default_ratios() -> CostRatios:
+    return CostRatios()
 
 
-def weighted_total(cost: CostVector, ratios: CostRatios = DEFAULT_RATIOS) -> Fraction:
-    """Collapse a cost vector into exact M-equivalents.
+def __getattr__(name: str) -> CostRatios:
+    """DEFAULT_RATIOS, CostRatios(), made on its first read and the same object on every one."""
+    if name == "DEFAULT_RATIOS":
+        return _default_ratios()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Default:
+    """The default of a ratios argument: DEFAULT_RATIOS, read when the call is made."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "DEFAULT_RATIOS"
+
+
+_DEFAULT = _Default()
+
+
+def weighted_total(cost: CostVector, ratios: CostRatios = _DEFAULT) -> Fraction:
+    """Collapse a cost vector into exact M-equivalents; ratios defaults to DEFAULT_RATIOS.
 
     The four terms are put over the product of the ratios' denominators and
     summed as integers, so the result is the one Fraction made.
     """
+    if ratios is _DEFAULT:
+        ratios = _default_ratios()
+    Fraction = _Fraction or _fraction()
     sqr, inv, addf = ratios
     d_sqr, d_inv, d_addf = sqr.denominator, inv.denominator, addf.denominator
     return Fraction(
@@ -158,6 +200,7 @@ def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
     """
     if base <= 0:
         raise ValueError(f"base cost must be positive, got {base}")
+    Fraction = _Fraction or _fraction()
     scaled_base = base.numerator * improved.denominator
     return Fraction((scaled_base - improved.numerator * base.denominator) * 100, scaled_base)
 

@@ -9,10 +9,10 @@ NAF whose odd digits of magnitude below 2**(w-1) pair with a precomputed
 table of odd multiples. Zero always recodes to the empty expansion.
 recode(m, form, width) selects one of them by its name in RECODING_FORMS.
 
-Every expansion stores its shape (length, weight, has_negative). The NAF
-and the bulk width-w NAF (a scalar of at least 2**64, w <= 8) read it off
-whole-integer masks; above 2**64 both gather the digit tuple only when it
-is first read.
+Every expansion stores its shape (length, weight, has_negative). Binary,
+the NAF and the bulk width-w NAF (a scalar of at least 2**64, w <= 8) read
+it off whole-integer masks; above 2**64 all three gather the digit tuple
+only when it is first read.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class SignedExpansion(_Fields):
     some digit is negative. Each recoding computes it from whole-integer
     masks, or counts it as it makes the digits, and the constructor counts it
     after its checks, so no reader scans the digits for it. A recoding may
-    defer the digits themselves: the NAF and the width-w NAF (w <= 8) of a
-    scalar of at least 2**64 store the scalar and the mask of nonzero
+    defer the digits themselves: binary, the NAF and the width-w NAF (w <= 8)
+    of a scalar of at least 2**64 store the scalar and the mask of nonzero
     positions, and the first read of digits gathers the tuple from them
     (_gather) and keeps it. Reading the shape never builds it. The shape is
     derived from the digits, so equality, hashing and pickling use the
@@ -153,8 +153,15 @@ def _trusted(
 
 
 def binary_expansion(m: int) -> SignedExpansion:
-    """Plain base-2 digits of m, most-significant first."""
+    """Plain base-2 digits of m, most-significant first.
+
+    Its nonzero positions are m's set bits and each digit is 1, which
+    _gather makes at w = 1 from m as its own mask. For a scalar of at least
+    2**64 the digits are deferred to their first read, as the NAF's are.
+    """
     _require_nonnegative(m)
+    if m >> 64:
+        return _trusted(None, 1, m.bit_length(), m.bit_count(), False, (m, m, 1, 1))
     return _trusted(tuple(_bits(m)) if m else (), 1, m.bit_length(), m.bit_count(), False)
 
 
@@ -271,6 +278,8 @@ def _wide_width_w_naf(m: int, w: int) -> SignedExpansion:
 def _gather(m: int, chosen: int, w: int, gather: int) -> tuple[int, ...]:
     """The digits of the width-w NAF of m, for 2 <= w <= 8, whose nonzero positions chosen sets.
 
+    At w = 1, with chosen = m and gather 1, they are m's binary digits.
+
     Chosen positions lie at least w apart, so their windows are disjoint,
     and setting each one's low bit in m changes no other window. Spread to
     one byte per bit, m | chosen times the width's gather factor puts into
@@ -279,7 +288,9 @@ def _gather(m: int, chosen: int, w: int, gather: int) -> tuple[int, ...]:
     255, so no byte carries. Shifted down w - 1 bytes, masked to the chosen
     positions and read as signed chars, the bytes are the digits. At w = 2
     the window is the low bit, 1, and the next bit of m, weighted 254: the
-    digit is +1, or -1 where m has that bit, as the NAF's is.
+    digit is +1, or -1 where m has that bit, as the NAF's is. At w = 1 the
+    window is one set bit of m, weighted 1 by the factor 1: the digit is 1,
+    and 0 at every other position, as binary's are.
     """
     lanes = int.from_bytes(_bits(m | chosen), "big") * gather >> 8 * w - 8
     lanes &= int.from_bytes(_bits(chosen), "big") * 255

@@ -412,6 +412,13 @@ LONG_BENCH_PINS = [
 ]
 
 
+# the same call in binary, whose scalars all lie above 2**64 too
+BINARY_160_PIN = (
+    ["--bits", "160", "--form", "binary", "--samples", "100"],
+    "a636408344ed1a6c189c8b1f82b061821152791b3b6b16575da53a3a50485d1d",
+)
+
+
 class _Gathered(Exception):
     pass
 
@@ -422,14 +429,16 @@ def test_long_benches_build_no_digit_tuple(monkeypatch, capsys):
 
     monkeypatch.setattr(negmul.recoding, "_gather", no_gather)
     # bench's walks start from the identity and read the shape alone
-    for args, digest in LONG_BENCH_PINS:
+    for args, digest in [*LONG_BENCH_PINS, BINARY_160_PIN]:
         assert cli.main(["bench", "picard", *args, "--format", "json", "--seed", "0"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
     # recode and mul read the digits, so the patched gather is the one they reach
     m = str((1 << 159) + 0x5DEECE66D)
     calls = [
+        ["recode", m, "binary"],
         ["recode", m, "naf"],
         ["recode", m, "wnaf", "--width", "4"],
+        ["mul", "--n", "101", "--scalar", m, "--algo", "baseline", "--form", "binary"],
         ["mul", "--n", "101", "--scalar", m, "--algo", "neg"],
         ["mul", "--n", "101", "--scalar", m, "--algo", "window"],
     ]

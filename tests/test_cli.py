@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import negmul
-from negmul import CostLedger, algorithms, cli
-from negmul.backends import PRESETS
+from negmul import CostLedger, CostRatios, algorithms, cli
+from negmul.backends import PICARD_PROFILE, PRESETS
 from negmul.costs import DEFAULT_RATIOS
 from negmul.verify import Mismatch
 
@@ -352,6 +352,19 @@ def test_bench_without_ratio_flags_passes_the_default_ratios_themselves(monkeypa
     assert seen[1] == DEFAULT_RATIOS._replace(inv_per_mul="5") and seen[1] is not DEFAULT_RATIOS
 
 
+def test_default_ratios_are_one_object_under_every_name():
+    # the CLI's default is negmul.costs.DEFAULT_RATIOS, as the test above checks
+    star = {}
+    exec("from negmul import *", star)
+    by_default = negmul.run_bench(PICARD_PROFILE, bits=16, samples=2).ratios
+    assert star["DEFAULT_RATIOS"] is negmul.DEFAULT_RATIOS is negmul.costs.DEFAULT_RATIOS
+    assert by_default is DEFAULT_RATIOS is negmul.costs.DEFAULT_RATIOS
+    assert DEFAULT_RATIOS == CostRatios()
+    assert negmul.weighted_total(PICARD_PROFILE.add_cost) == negmul.weighted_total(
+        PICARD_PROFILE.add_cost, CostRatios()
+    )
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_bench_runs_every_bundled_preset(capsys, name):
     for fmt in ("table", "json"):
@@ -431,28 +444,32 @@ def test_calls_through_the_shared_parser_carry_no_state(capsys):
 
 # Start-up cost: building the parser must not import these heavy modules
 # (dataclasses alone pulls in inspect, ast, dis and tokenize; json is only for
-# bench's JSON output and custom profiles).
+# bench's JSON output and custom profiles; fractions, with decimal and
+# numbers, only for pricing costs, which bench and custom profiles do).
 STARTUP_CODE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
+names, argv = set(sys.argv[2].split()), sys.argv[3:]
 before = set(sys.modules)
 import negmul.cli
 negmul.cli.build_parser()
-print(" ".join(sorted(set(sys.argv[2:]) & (set(sys.modules) - before))))
+status = negmul.cli.main(argv) if argv else 0
+print(" ".join(sorted(names & (set(sys.modules) - before))))
+sys.exit(status)
 """
 
 
-def startup_imports(*names):
-    """Which of names a fresh interpreter loads to import negmul.cli and build its parser."""
+def startup_imports(*names, argv=()):
+    """Which of names a fresh interpreter loads to import negmul.cli, build its parser and run main(argv)."""
     src = Path(negmul.__file__).parent.parent
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP_CODE, str(src), *names],
+        [sys.executable, "-I", "-c", STARTUP_CODE, str(src), " ".join(names), *argv],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_startup_imports_neither_dataclasses_nor_inspect():
@@ -461,3 +478,24 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
 
 def test_startup_does_not_import_json():
     assert startup_imports("json") == []
+
+
+PRICING_MODULES = ("fractions", "decimal", "numbers")
+
+
+def test_startup_does_not_import_fractions():
+    assert startup_imports(*PRICING_MODULES) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["recode", str(2**160 + 3), "binary"], []),
+        (["mul", "--n", "101", "--scalar", "-17", "--algo", "neg"], []),
+        (["verify", "--max-n", "5"], []),
+        (["bench", "picard", "--bits", "16", "--samples", "2"], sorted(PRICING_MODULES)),
+    ],
+    ids=["recode", "mul", "verify", "bench"],
+)
+def test_only_bench_loads_fractions(argv, loaded):
+    assert startup_imports(*PRICING_MODULES, argv=argv) == loaded
