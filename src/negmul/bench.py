@@ -4,11 +4,13 @@ A bench run draws a seeded sample of fixed-bit-length scalars, runs every
 driver the chosen recoding form feeds, and counts each driver's runs by shape.
 A run's op counts are affine in its shape's fields, so each driver's are one
 call of the walk's own map, algorithms._op_counts, on those fields summed
-over its shape classes, times the runs in each, before any price is applied
-(order independent, so a fixed seed fully determines the report). The report keeps
-every figure as an exact rational; rendering rounds only at the very end,
-and only in table mode. A saving against a cost of 0 is None, per step as
-for a whole multiplication: JSON null, "-" in the table.
+over its shape classes, times the runs in each (order independent, so a
+fixed seed fully determines the report). Pricing is in integers: each
+operation kind gets one price in M-equivalents over one denominator, a
+driver's total is its counts dotted with those prices, and each reported
+figure is one exact Fraction made from such integers. Rendering rounds only
+at the very end, and only in table mode. A saving against a cost of 0 is
+None, per step as for a whole multiplication: JSON null, "-" in the table.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from .costs import (
     SameClassEquality,
     _DEFAULT,
     _default_ratios,
+    _dot,
+    _fraction,
     _ledger,
-    savings_percent,
-    weighted_total,
+    _weights,
 )
 from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
@@ -126,27 +129,18 @@ class BenchReport(NamedTuple):
         # only JSON output needs it; kept off the start-up path
         from json.encoder import encode_basestring_ascii as quote
 
+        prices = [self.prices[kind] for kind in OP_KINDS]
         algorithms = []
         for entry in self.algorithms:
-            counts = entry.ledger.counts()
-            ops = []
-            for kind in OP_KINDS:
-                n, price = counts[kind], self.prices[kind]
-                ops.append(
-                    _OPS_JSON.format(
-                        kind=kind,
-                        add_f=n * price.add_f,
-                        count=n,
-                        inv=n * price.inv,
-                        mul=n * price.mul,
-                        sqr=n * price.sqr,
-                    )
-                )
+            values = []
+            for kind, (mul, sqr, inv, add_f) in zip(OP_KINDS, prices):
+                n = entry.ledger._counts[kind]
+                values += (n * add_f, n, n * inv, n * mul, n * sqr)
             algorithms.append(
                 _ALGORITHM_JSON.format(
                     id=quote(entry.algo_id),
                     mean_weighted=entry.mean_weighted,
-                    ops=",\n".join(ops),
+                    ops=_OPS_JSON % tuple(values),
                     savings=_json_fraction(entry.savings_vs_baseline),
                     total_weighted=entry.total_weighted,
                 )
@@ -240,18 +234,24 @@ def run_bench(
         for algo in algo_ids:
             run = ALGORITHMS[algo].run
             results[algo].update(map(run, expansions, repeat(D), repeat(group), repeat(False)))
-    totals = {algo: _ledger_of(results[algo]) for algo in algo_ids}
-    weighted = {algo: weighted_total(totals[algo].total(prices), ratios) for algo in algo_ids}
-    base_total = weighted["baseline"]
+    weights = _weights(ratios)
+    den, Fraction = weights[0], _fraction()
+    kind_prices = [_dot(prices[kind], weights) for kind in OP_KINDS]
+    counts = {algo: _counts_of(results[algo]) for algo in algo_ids}
+    totals = {algo: _dot(counts[algo], kind_prices) for algo in algo_ids}
     entries = []
     for algo in algo_ids:
-        total = weighted[algo]
-        savings = savings_percent(base_total, total) if base_total > 0 else None
-        entries.append(AlgorithmEntry(algo, totals[algo], total, total / samples, savings))
-    per_step = {
-        "add": _step_costs(profile.add_cost, profile.neg_add_cost, ratios),
-        "dbl": _step_costs(profile.dbl_cost, profile.neg_dbl_cost, ratios),
-    }
+        n = totals[algo]
+        figures = Fraction(n, den), Fraction(n, den * samples), _saving(totals["baseline"], n)
+        entries.append(AlgorithmEntry(algo, _ledger(counts[algo]), *figures))
+    per_step = {}
+    for name, plain_cost, fused_cost in (
+        ("add", profile.add_cost, profile.neg_add_cost),
+        ("dbl", profile.dbl_cost, profile.neg_dbl_cost),
+    ):
+        plain, fused = _dot(plain_cost, weights), _dot(fused_cost, weights)
+        figures = Fraction(plain, den), Fraction(fused, den), _saving(plain, fused)
+        per_step[name] = StepCosts(*figures)
     return BenchReport(
         preset=profile.name,
         ratios=ratios,
@@ -266,8 +266,8 @@ def run_bench(
     )
 
 
-def _ledger_of(results: Counter) -> CostLedger:
-    """The summed ledger of one driver's runs, counted by result, one class per shape.
+def _counts_of(results: Counter) -> tuple[int, ...]:
+    """One driver's summed op counts, in OP_KINDS order, from its runs counted by shape class.
 
     One form and width per bench and no negated base: the shapes share entry
     and table bound, and each other field, and entry._odd, times the runs in
@@ -277,27 +277,29 @@ def _ledger_of(results: Counter) -> CostLedger:
     (entry, *_), (table_bound, *_), *columns = zip(*(result.shape for result in results))
     columns.append(map(entry._odd, *columns[:2]))
     sums = (sum(map(operator.mul, column, runs)) for column in columns)
-    return _ledger(_op_counts(entry, table_bound, sum(runs), *sums)[0])
+    return _op_counts(entry, table_bound, sum(runs), *sums)[0]
 
 
-def _step_costs(plain_cost: CostVector, fused_cost: CostVector, ratios: CostRatios) -> StepCosts:
-    plain = weighted_total(plain_cost, ratios)
-    fused = weighted_total(fused_cost, ratios)
-    savings = savings_percent(plain, fused) if plain > 0 else None
-    return StepCosts(plain, fused, savings)
+def _saving(base: int, improved: int) -> Fraction | None:
+    """Percent saved from base to improved, two integers over one denominator; None if base is 0."""
+    return _fraction()((base - improved) * 100, base) if base > 0 else None
 
 
 # BenchReport.to_json's layout, as json.dumps(..., sort_keys=True, indent=2)
 # lays the schema out: every object's keys in sorted order (OP_KINDS is
-# sorted too) and each fraction a quoted str().
-_OPS_JSON = """\
+# sorted too) and each fraction a quoted str(). _OPS_JSON holds every
+# kind's op block, each taking its add_f, count, inv, mul and sqr in turn.
+_OPS_JSON = ",\n".join(
+    f"""\
         "{kind}": {{
-          "add_f": {add_f},
-          "count": {count},
-          "inv": {inv},
-          "mul": {mul},
-          "sqr": {sqr}
+          "add_f": %d,
+          "count": %d,
+          "inv": %d,
+          "mul": %d,
+          "sqr": %d
         }}"""
+    for kind in OP_KINDS
+)
 _ALGORITHM_JSON = """\
     {{
       "id": {id},

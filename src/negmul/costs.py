@@ -172,35 +172,47 @@ class _Default:
 _DEFAULT = _Default()
 
 
+def _weights(ratios: CostRatios) -> tuple[int, int, int, int]:
+    """M-equivalents of one M, S, I and A, over the first: the ratio denominators' product."""
+    (s, d_s), (i, d_i), (a, d_a) = (ratio.as_integer_ratio() for ratio in ratios)
+    return d_s * d_i * d_a, s * d_i * d_a, i * d_s * d_a, a * d_s * d_i
+
+
+def _dot(xs: Iterable[int], ys: Iterable[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
 def weighted_total(cost: CostVector, ratios: CostRatios = _DEFAULT) -> Fraction:
     """Collapse a cost vector into exact M-equivalents; ratios defaults to DEFAULT_RATIOS.
 
     The four terms are put over the product of the ratios' denominators and
-    summed as integers, so the result is the one Fraction made.
+    summed as integers, so the result is the one Fraction made. A cost that
+    is not a CostVector, or ratios that are not a CostRatios, raise a ValueError.
     """
+    if not isinstance(cost, CostVector):
+        raise ValueError(f"cost must be a CostVector, got {cost!r}")
     if ratios is _DEFAULT:
         ratios = _default_ratios()
+    elif not isinstance(ratios, CostRatios):
+        raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
     Fraction = _Fraction or _fraction()
-    sqr, inv, addf = ratios
-    d_sqr, d_inv, d_addf = sqr.denominator, inv.denominator, addf.denominator
-    return Fraction(
-        cost.mul * d_sqr * d_inv * d_addf
-        + cost.sqr * sqr.numerator * d_inv * d_addf
-        + cost.inv * inv.numerator * d_sqr * d_addf
-        + cost.add_f * addf.numerator * d_sqr * d_inv,
-        d_sqr * d_inv * d_addf,
-    )
+    weights = _weights(ratios)
+    return Fraction(_dot(cost, weights), weights[0])
 
 
 def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
     """Exact percentage saved going from base to improved: (base - improved) / base * 100.
 
     With base = B/b and improved = I/i, that is (B*i - I*b) * 100 / (B*i),
-    made as one Fraction.
+    made as one Fraction. Each argument must be an int or a Fraction, not a
+    bool, and base must be positive; anything else raises a ValueError.
     """
+    Fraction = _Fraction or _fraction()
+    for name, value in (("base", base), ("improved", improved)):
+        if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+            raise ValueError(f"{name} cost must be an int or a Fraction, got {value!r}")
     if base <= 0:
         raise ValueError(f"base cost must be positive, got {base}")
-    Fraction = _Fraction or _fraction()
     scaled_base = base.numerator * improved.denominator
     return Fraction((scaled_base - improved.numerator * base.denominator) * 100, scaled_base)
 
@@ -250,7 +262,7 @@ class CostLedger:
         """
         counts = [self._counts[kind] for kind in OP_KINDS]
         columns = zip(*(prices[kind] for kind in OP_KINDS))
-        return CostVector(*(sum(map(operator.mul, counts, column)) for column in columns))
+        return CostVector(*(_dot(counts, column) for column in columns))
 
     def merge(self, other: CostLedger) -> None:
         """Fold another run's counts into this ledger."""

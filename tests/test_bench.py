@@ -208,41 +208,61 @@ def test_bench_json_quotes_a_custom_profile_name_as_json_does(tmp_path, capsys):
     assert json.loads(out)["preset"] == stem
 
 
-def test_report_is_self_consistent():
-    report = run_bench(PICARD_PROFILE, bits=48, samples=12, form="naf", seed=4)
+@pytest.mark.parametrize(
+    "ratios",
+    [DEFAULT_RATIOS, CostRatios("4/5", "80/7", "1/50"), CostRatios("1/2", 7, "3/1000000007")],
+    ids=["default", "custom", "wide-denominator"],
+)
+@pytest.mark.parametrize("form, width", [("binary", 4), ("naf", 4), ("wnaf", 5)])
+@pytest.mark.parametrize(
+    "profile", [PICARD_PROFILE, HYPERELLIPTIC_PROFILE, ZERO_PROFILE, ADDF_PROFILE], ids=lambda p: p.name
+)
+def test_report_is_self_consistent(profile, form, width, ratios):
+    report = run_bench(profile, bits=48, samples=12, form=form, width=width, ratios=ratios, seed=4)
     data = json.loads(report.to_json())
-    ratios = CostRatios(
+    read_ratios = CostRatios(
         Fraction(data["ratios"]["sqr_per_mul"]),
         Fraction(data["ratios"]["inv_per_mul"]),
         Fraction(data["ratios"]["addf_per_mul"]),
     )
-    assert ratios == DEFAULT_RATIOS
+    assert read_ratios == ratios
 
-    def weight(ops):
-        total = Fraction(0)
-        for tally in ops.values():
-            total += (
-                Fraction(tally["mul"])
-                + tally["sqr"] * ratios.sqr_per_mul
-                + tally["inv"] * ratios.inv_per_mul
-                + tally["add_f"] * ratios.addf_per_mul
-            )
-        return total
-
-    base_total = None
-    for entry in data["algorithms"]:
-        total = Fraction(entry["total_weighted"])
-        assert total == weight(entry["ops"])
-        assert Fraction(entry["mean_weighted"]) == total / data["sample"]["count"]
-        if entry["id"] == "baseline":
-            base_total = total
-    for entry in data["algorithms"]:
-        recomputed = savings_percent(base_total, Fraction(entry["total_weighted"]))
-        assert Fraction(entry["savings_vs_baseline_percent"]) == recomputed
-    for step in data["per_step"].values():
-        assert Fraction(step["savings_percent"]) == savings_percent(
-            Fraction(step["plain"]), Fraction(step["fused"])
+    # term by term in Fractions, apart from the integer weights bench prices with
+    def weight(tally):
+        return (
+            Fraction(tally["mul"])
+            + tally["sqr"] * ratios.sqr_per_mul
+            + tally["inv"] * ratios.inv_per_mul
+            + tally["add_f"] * ratios.addf_per_mul
         )
+
+    def saving(base, improved):
+        return savings_percent(base, improved) if base > 0 else None
+
+    totals = {}
+    for entry in data["algorithms"]:
+        total = sum(map(weight, entry["ops"].values()), Fraction(0))
+        assert Fraction(entry["total_weighted"]) == total
+        assert Fraction(entry["mean_weighted"]) == total / data["sample"]["count"]
+        totals[entry["id"]] = total
+    assert list(totals) == list(algorithms_for_form(form))
+    for entry in data["algorithms"]:
+        recomputed = saving(totals["baseline"], totals[entry["id"]])
+        got = entry["savings_vs_baseline_percent"]
+        assert (got if got is None else Fraction(got)) == recomputed
+    for name, plain_cost, fused_cost in [
+        ("add", profile.add_cost, profile.neg_add_cost),
+        ("dbl", profile.dbl_cost, profile.neg_dbl_cost),
+    ]:
+        step = data["per_step"][name]
+        plain, fused = (weight(cost._asdict()) for cost in (plain_cost, fused_cost))
+        assert (Fraction(step["plain"]), Fraction(step["fused"])) == (plain, fused)
+        got = step["savings_percent"]
+        assert (got if got is None else Fraction(got)) == saving(plain, fused)
+    if profile is ZERO_PROFILE:
+        savings = [entry["savings_vs_baseline_percent"] for entry in data["algorithms"]]
+        savings += [step["savings_percent"] for step in data["per_step"].values()]
+        assert set(savings) == {None}
 
 
 @pytest.mark.parametrize("profile", [PICARD_PROFILE, HYPERELLIPTIC_PROFILE], ids=lambda p: p.name)
@@ -375,16 +395,25 @@ PINNED_JSON = [
     (HYPERELLIPTIC_PROFILE, "naf", 4, "46f74d52aa32c81dcce2e363c01df2b5fc8a5d75e7757552de33a07727e11440"),
     (ZERO_PROFILE, "wnaf", 5, "848ec76d8f8d0314d4e31749b6ef896c50070486758469e0eda769836bc827be"),
 ]
+# the same run at non-default ratios, whose denominators every integer weight is put over
+RATIOS_PIN = (
+    PICARD_PROFILE,
+    "wnaf",
+    5,
+    "163b44912022a54a9464f6583074c6156bcd88f17fcc461992be1135d47b20a1",
+    CostRatios("4/5", "80/7", "1/50"),
+)
+PINS = [(*pin, DEFAULT_RATIOS) for pin in PINNED_JSON] + [RATIOS_PIN]
 
 
 @pytest.mark.parametrize(
-    "profile, form, width, digest",
-    PINNED_JSON,
-    ids=[f"{form}-{width}-{digest}" for _, form, width, digest in PINNED_JSON],
+    "profile, form, width, digest, ratios",
+    PINS,
+    ids=[f"{form}-{width}-{digest}" for _, form, width, digest, _ in PINS],
 )
-def test_report_json_is_pinned_for_seed_0(profile, form, width, digest, monkeypatch):
+def test_report_json_is_pinned_for_seed_0(profile, form, width, digest, ratios, monkeypatch):
     def bench_digest():
-        report = run_bench(profile, bits=96, samples=200, seed=0, form=form, width=width)
+        report = run_bench(profile, bits=96, samples=200, seed=0, form=form, width=width, ratios=ratios)
         return hashlib.sha256(report.to_json().encode()).hexdigest()
 
     assert bench_digest() == digest

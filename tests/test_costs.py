@@ -1,6 +1,8 @@
 """Tests for cost vectors, ratios, weighted totals and ledgers."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,28 @@ def test_savings_percent_examples():
     assert savings_percent(172, 159) == Fraction(1300, 172)
     assert savings_percent(Fraction(566, 3), Fraction(527, 3)) == Fraction(3900, 566)
     assert savings_percent(100, 100) == 0
+
+
+@pytest.mark.parametrize(
+    "ratios", [(1, 2, 3), "2/3", None, {"sqr_per_mul": 1}], ids=["tuple", "str", "None", "dict"]
+)
+def test_weighted_total_refuses_arguments_of_the_wrong_type(ratios):
+    # a plain tuple is not read as (sqr, inv, addf), nor as a cost vector
+    with pytest.raises(ValueError, match=f"^ratios must be a CostRatios, got {re.escape(repr(ratios))}$"):
+        weighted_total(CostVector(1), ratios)
+    with pytest.raises(ValueError, match=f"^cost must be a CostVector, got {re.escape(repr(ratios))}$"):
+        weighted_total(ratios, DEFAULT_RATIOS)
+
+
+@pytest.mark.parametrize(
+    "bad", [2.5, True, False, "3", None, Decimal(3)], ids=["float", "True", "False", "str", "None", "Decimal"]
+)
+def test_savings_percent_refuses_what_is_not_an_int_or_a_fraction(bad):
+    message = f"must be an int or a Fraction, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=f"^base cost {message}"):
+        savings_percent(bad, 1)
+    with pytest.raises(ValueError, match=f"^improved cost {message}"):
+        savings_percent(3, bad)
 
 
 def test_savings_percent_requires_positive_base():
