@@ -23,24 +23,26 @@ negate once at the end), and the addend table.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .costs import CostLedger, _ledger
 from .groups import Element, NegationAwareGroup
 from .recoding import SignedExpansion, recode
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
 MIXED_MODES = ("neg_doubling_only", "neg_addition_only")
 
 
-class TraceStep(NamedTuple):
+class TraceStep(namedtuple("TraceStep", ("kind", "f", "element"))):
     """One recorded step: the operation, then the flag and element after it."""
 
-    kind: str
-    f: int
-    element: Element
+    __slots__ = ()
 
 
-class MulResult(NamedTuple):
+class MulResult(namedtuple("MulResult", ("element", "shape", "trace"), defaults=(None,))):
     """Product element, the shape of the run that produced it, and its trace.
 
     shape is (entry, table_bound, length, weight, negative), then True when
@@ -56,9 +58,7 @@ class MulResult(NamedTuple):
     which every run would pay.
     """
 
-    element: Element
-    shape: tuple
-    trace: list[TraceStep] | None = None
+    __slots__ = ()
 
     @property
     def ledger(self) -> CostLedger:
@@ -323,7 +323,9 @@ def windowed_neg_scalar_mul(
     return _walk(e, D, group, trace, ALGORITHMS["window"])
 
 
-class Algorithm(NamedTuple):
+class Algorithm(
+    namedtuple("Algorithm", ("forms", "run", "fuse_dbl", "fuse_add", "lookahead", "table_from"))
+):
     """A driver: its recoding forms, default first, its runner, and its walk's parameters.
 
     run(e, D, group, trace) calls the driver's function by global name, so
@@ -337,12 +339,7 @@ class Algorithm(NamedTuple):
     digit_bound 1 and adds D, or -D too when it can flip or meets a -1.
     """
 
-    forms: tuple[str, ...]
-    run: Callable[[SignedExpansion, Element, NegationAwareGroup, bool], MulResult]
-    fuse_dbl: bool
-    fuse_add: bool
-    lookahead: bool
-    table_from: int | None
+    __slots__ = ()
 
     def _odd(self, length: int, weight: int) -> int:
         """The parity of the flips the loop makes over length digits, weight nonzero."""

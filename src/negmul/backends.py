@@ -5,12 +5,14 @@ from __future__ import annotations
 import collections
 import sys
 import warnings
-from pathlib import Path
-from typing import NamedTuple
 
 from . import costs
 from .costs import OP_KINDS, CostRatios, CostVector, SameClassEquality
 from .groups import Element, NegationAwareGroup
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 class ModularGroup(NegationAwareGroup):
@@ -64,13 +66,10 @@ def _caller_stacklevel() -> int:
     return level
 
 
-class _CostProfileFields(NamedTuple):
-    name: str
-    add_cost: CostVector
-    dbl_cost: CostVector
-    neg_cost: CostVector
-    neg_add_cost: CostVector
-    neg_dbl_cost: CostVector
+_CostProfileFields = collections.namedtuple(
+    "_CostProfileFields",
+    ("name", "add_cost", "dbl_cost", "neg_cost", "neg_add_cost", "neg_dbl_cost"),
+)
 
 
 class CostProfile(SameClassEquality, _CostProfileFields):
@@ -169,7 +168,9 @@ def load_profile(path: str | Path) -> tuple[CostProfile, CostRatios | None]:
     are rejected. The counts and ratios are checked by CostVector and
     CostRatios; every error names the file and the offending key.
     """
-    import json  # only profile loading needs it; kept off the start-up path
+    # only profile loading needs them; kept off the start-up path
+    import json
+    from pathlib import Path
 
     path = Path(path)
     try:

@@ -17,19 +17,15 @@ from __future__ import annotations
 
 import math
 import operator
-import random
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
 
 from .algorithms import ALGORITHMS, _op_counts
 from .backends import CostChargingGroup, CostProfile, ModularGroup
 from .costs import (
     OP_KINDS,
-    CostLedger,
     CostRatios,
-    CostVector,
     SameClassEquality,
     _DEFAULT,
     _default_ratios,
@@ -41,6 +37,7 @@ from .costs import (
 from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -66,6 +63,8 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
         raise ValueError(f"sample count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    import random  # only bench samples; kept off the start-up path
+
     rng = random.Random(seed)
     top = 1 << (bits - 1)
     return [top | rng.getrandbits(bits - 1) for _ in range(count)]
@@ -79,10 +78,7 @@ def algorithms_for_form(form: str) -> tuple[str, ...]:
     return tuple(algo for algo, entry in ALGORITHMS.items() if form in entry.forms)
 
 
-class _StepCostsFields(NamedTuple):
-    plain: Fraction
-    fused: Fraction
-    savings: Fraction | None
+_StepCostsFields = namedtuple("_StepCostsFields", ("plain", "fused", "savings"))
 
 
 class StepCosts(SameClassEquality, _StepCostsFields):
@@ -95,29 +91,40 @@ class StepCosts(SameClassEquality, _StepCostsFields):
     __slots__ = ()
 
 
-class AlgorithmEntry(NamedTuple):
-    """Aggregated accounting for one driver across the whole sample."""
+class AlgorithmEntry(
+    namedtuple(
+        "AlgorithmEntry",
+        ("algo_id", "ledger", "total_weighted", "mean_weighted", "savings_vs_baseline"),
+    )
+):
+    """Aggregated accounting for one driver across the whole sample.
 
-    algo_id: str
-    ledger: CostLedger
-    total_weighted: Fraction
-    mean_weighted: Fraction
-    savings_vs_baseline: Fraction | None
+    ledger counts the group operations of all its runs; total_weighted and
+    mean_weighted are their exact M-equivalents (Fractions), over the whole
+    sample and per scalar; savings_vs_baseline is the percent saved against
+    the baseline, a Fraction, or None when the baseline costs 0.
+    """
+
+    __slots__ = ()
 
 
-class BenchReport(NamedTuple):
-    """Everything a bench run measured, exact; renders to a table or JSON."""
+class BenchReport(
+    namedtuple(
+        "BenchReport",
+        (
+            "preset", "ratios", "bits", "samples", "form",
+            "width", "seed", "per_step", "algorithms", "prices",
+        ),
+    )
+):
+    """Everything a bench run measured, exact; renders to a table or JSON.
 
-    preset: str
-    ratios: CostRatios
-    bits: int
-    samples: int
-    form: str
-    width: int | None
-    seed: int
-    per_step: dict[str, StepCosts]
-    algorithms: tuple[AlgorithmEntry, ...]
-    prices: dict[str, CostVector]
+    width is None unless form is "wnaf"; per_step maps "add" and "dbl" to
+    their StepCosts, algorithms holds one AlgorithmEntry per driver, in
+    ALGORITHMS order, and prices maps each operation kind to its CostVector.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, two-space indent, ASCII escapes; byte stable for a seed.
@@ -242,7 +249,8 @@ def run_bench(
     entries = []
     for algo in algo_ids:
         n = totals[algo]
-        figures = Fraction(n, den), Fraction(n, den * samples), _saving(totals["baseline"], n)
+        saving = _saving(totals["baseline"], n, Fraction)
+        figures = Fraction(n, den), Fraction(n, den * samples), saving
         entries.append(AlgorithmEntry(algo, _ledger(counts[algo]), *figures))
     per_step = {}
     for name, plain_cost, fused_cost in (
@@ -250,7 +258,7 @@ def run_bench(
         ("dbl", profile.dbl_cost, profile.neg_dbl_cost),
     ):
         plain, fused = _dot(plain_cost, weights), _dot(fused_cost, weights)
-        figures = Fraction(plain, den), Fraction(fused, den), _saving(plain, fused)
+        figures = Fraction(plain, den), Fraction(fused, den), _saving(plain, fused, Fraction)
         per_step[name] = StepCosts(*figures)
     return BenchReport(
         preset=profile.name,
@@ -280,9 +288,12 @@ def _counts_of(results: Counter) -> tuple[int, ...]:
     return _op_counts(entry, table_bound, sum(runs), *sums)[0]
 
 
-def _saving(base: int, improved: int) -> Fraction | None:
-    """Percent saved from base to improved, two integers over one denominator; None if base is 0."""
-    return _fraction()((base - improved) * 100, base) if base > 0 else None
+def _saving(base: int, improved: int, fraction: type[Fraction]) -> Fraction | None:
+    """Percent saved from base to improved, two integers over one denominator; None if base is 0.
+
+    fraction is fractions.Fraction, which run_bench has already imported.
+    """
+    return fraction((base - improved) * 100, base) if base > 0 else None
 
 
 # BenchReport.to_json's layout, as json.dumps(..., sort_keys=True, indent=2)

@@ -16,11 +16,14 @@ none of it. DEFAULT_RATIOS is made on its first read.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, NoReturn
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping
     from fractions import Fraction
+    from typing import NoReturn
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
 
@@ -60,11 +63,7 @@ class SameClassEquality:
     __hash__ = tuple.__hash__
 
 
-class _CostVectorFields(NamedTuple):
-    mul: int
-    sqr: int
-    inv: int
-    add_f: int
+_CostVectorFields = namedtuple("_CostVectorFields", ("mul", "sqr", "inv", "add_f"))
 
 
 class CostVector(SameClassEquality, _CostVectorFields):
@@ -108,10 +107,7 @@ class CostVector(SameClassEquality, _CostVectorFields):
 ZERO_COST = CostVector()
 
 
-class _CostRatiosFields(NamedTuple):
-    sqr_per_mul: Fraction
-    inv_per_mul: Fraction
-    addf_per_mul: Fraction
+_CostRatiosFields = namedtuple("_CostRatiosFields", ("sqr_per_mul", "inv_per_mul", "addf_per_mul"))
 
 
 class CostRatios(SameClassEquality, _CostRatiosFields):

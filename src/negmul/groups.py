@@ -11,11 +11,15 @@ number of runs may share one group instance.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
 
 from .costs import OP_KINDS, ZERO_COST, CostVector
 
-Element = Any
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any as Element
+else:
+    # an opaque element, typing.Any to a type checker; typing stays off the start-up path
+    Element = object
 
 
 class NegationAwareGroup(ABC):

@@ -11,12 +11,17 @@ run on base D in Z/n returns (c * D) mod n, and one run per m checks every
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache, partial
-from typing import Callable, Mapping, NamedTuple
 
 from .algorithms import ALGORITHMS
 from .groups import NegationAwareGroup
 from .recoding import recode
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Mapping
 
 VERIFY_PRIMES = (5, 7, 11, 31, 97)
 
@@ -36,13 +41,7 @@ MAX_MISMATCHES = 10
 Driver = Callable[[int, int, NegationAwareGroup], int]
 
 
-class Mismatch(NamedTuple):
-    n: int
-    D: int
-    m: int
-    algorithm: str
-    got: int
-    expected: int
+Mismatch = namedtuple("Mismatch", ("n", "D", "m", "algorithm", "got", "expected"))
 
 
 class _Integers(NegationAwareGroup):

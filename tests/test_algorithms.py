@@ -16,7 +16,6 @@ from negmul import (
     PICARD_PROFILE,
     CostChargingGroup,
     CostLedger,
-    MulResult,
     SignedExpansion,
     binary_expansion,
     double_and_add,
@@ -31,7 +30,7 @@ from negmul import (
     windowed_neg_scalar_mul,
 )
 from negmul import algorithms
-from negmul.algorithms import _odd_multiples, _op_counts
+from negmul.algorithms import _UNIT_FORMS, _odd_multiples, _op_counts
 from negmul.recoding import MAX_WIDTH, MIN_WIDTH, recode
 from negmul.verify import _INTEGERS, MAX_MISMATCHES, VERIFY_PRIMES, default_verify_algorithms
 
@@ -580,7 +579,6 @@ def test_op_counts_of_summed_fields_equal_the_summed_op_counts_of_the_runs(entry
 
 
 def test_ledgers_are_made_from_the_shape():
-    assert MulResult._fields == ("element", "shape", "trace")
     e, g = width_w_naf(1000, 4), FreeGroup()
     res = windowed_neg_scalar_mul(e, Opaque(1), g)
     # the table up to 7: one dbl, three adds, four negs
@@ -604,6 +602,30 @@ def test_ledgers_are_made_from_the_shape():
     for m in (0, 1):
         assert counts(scalar_mul(m, Opaque(1), FreeGroup()).ledger) == {}
     assert counts(scalar_mul(-1, Opaque(1), FreeGroup()).ledger) == {"neg": 1}
+
+
+@given(m=st.integers(1, 1 << 160), form=st.sampled_from(_UNIT_FORMS))
+def test_neg_dbl_only_reads_the_digits_in_base_minus_2(m, form):
+    """After the digit at position i, the walk holds its digit tail read in base -2, and f = i mod 2.
+
+    Σ_{j>=i} d_j 2^(j-i) = (-1)^i Σ_{j>=i} (-1)^j d_j (-2)^(j-i): the fused
+    doublings run Horner's rule in base -2 over the digits with alternating
+    signs, and the flag is the parity of the position.
+    """
+    e = recode(m, form, 4)  # the width reaches only the wnaf form
+    digits = e.digits[::-1]  # digits[j] is d_j, the digit of 2^j
+    res = mixed_scalar_mul(e, 1, _INTEGERS, "neg_doubling_only", trace=True)
+    steps = iter(res.trace)
+    for i in reversed(range(e.length)):
+        # the top digit's init step, else its doubling and, for a nonzero digit, its add
+        top = i == e.length - 1
+        for kind in ("init",) if top else ("neg_dbl", "add")[: 1 + (digits[i] != 0)]:
+            step = next(steps)
+            assert (step.kind, step.f) == (kind, i % 2)
+        tail = sum((-1) ** j * digits[j] * (-2) ** (j - i) for j in range(i, e.length))
+        assert step.element == tail
+    assert next(steps, None) is None
+    assert res.element == m
 
 
 def test_verify_makes_no_ledger(monkeypatch):

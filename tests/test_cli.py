@@ -459,11 +459,16 @@ sys.exit(status)
 """
 
 
-def startup_imports(*names, argv=()):
-    """Which of names a fresh interpreter loads to import negmul.cli, build its parser and run main(argv)."""
+def startup_imports(*names, argv=(), site=True):
+    """Which of names a fresh interpreter loads to import negmul.cli, build its parser and run main(argv).
+
+    With site=False it runs under -S, so that what site imports (typing,
+    pathlib and random, on some Python versions) is not loaded already.
+    """
     src = Path(negmul.__file__).parent.parent
+    flags = ["-I"] if site else ["-I", "-S"]
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", STARTUP_CODE, str(src), " ".join(names), *argv],
+        [sys.executable, *flags, "-c", STARTUP_CODE, str(src), " ".join(names), *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -499,3 +504,23 @@ def test_startup_does_not_import_fractions():
 )
 def test_only_bench_loads_fractions(argv, loaded):
     assert startup_imports(*PRICING_MODULES, argv=argv) == loaded
+
+
+# typing, pathlib and random: annotations, custom profile files and bench's
+# sampling use them, so none is imported with the package
+LAZY_MODULES = ("typing", "pathlib", "random")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["recode", str(2**160 + 3), "binary"], []),
+        (["mul", "--n", "101", "--scalar", "-17", "--algo", "neg"], []),
+        (["verify", "--max-n", "5"], []),
+        (["bench", "picard", "--bits", "16", "--samples", "2"], ["random"]),
+    ],
+    ids=["parser", "recode", "mul", "verify", "bench"],
+)
+def test_only_bench_loads_random_and_nothing_loads_typing_or_pathlib(argv, loaded):
+    assert startup_imports(*LAZY_MODULES, argv=argv, site=False) == loaded

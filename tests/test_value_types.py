@@ -12,11 +12,17 @@ from negmul import (
     CostProfile,
     CostRatios,
     CostVector,
+    Mismatch,
+    MulResult,
     SignedExpansion,
+    TraceStep,
     naf,
     run_bench,
 )
-from negmul.bench import AlgorithmEntry, StepCosts
+from negmul.algorithms import Algorithm
+from negmul.backends import _CostProfileFields
+from negmul.bench import AlgorithmEntry, StepCosts, _StepCostsFields
+from negmul.costs import _CostRatiosFields, _CostVectorFields
 
 
 def _report():
@@ -80,6 +86,30 @@ def test_value_type_contract(cls):
     text = repr(a)
     assert text.startswith(f"{cls.__name__}(")
     assert all(f"{field}=" in text for field in fields)
+
+
+# every namedtuple record: its field names in order, and its defaults
+RECORD_FIELDS = {
+    TraceStep: (("kind", "f", "element"), {}),
+    MulResult: (("element", "shape", "trace"), {"trace": None}),
+    Algorithm: (("forms", "run", "fuse_dbl", "fuse_add", "lookahead", "table_from"), {}),
+    AlgorithmEntry: (VALUE_TYPES[AlgorithmEntry][1], {}),
+    BenchReport: (VALUE_TYPES[BenchReport][1], {}),
+    _StepCostsFields: (VALUE_TYPES[StepCosts][1], {}),
+    _CostVectorFields: (VALUE_TYPES[CostVector][1], {}),
+    _CostRatiosFields: (VALUE_TYPES[CostRatios][1], {}),
+    _CostProfileFields: (VALUE_TYPES[CostProfile][1], {}),
+    Mismatch: (("n", "D", "m", "algorithm", "got", "expected"), {}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_fields_are_pinned(cls):
+    fields, defaults = RECORD_FIELDS[cls]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    # __slots__ = () all the way up: no instance carries a __dict__
+    assert cls.__dictoffset__ == 0
 
 
 def test_signed_expansion_is_not_a_sequence():
