@@ -1,23 +1,28 @@
 """Deterministic cost benchmarking: modeled field-operation totals, not wall time.
 
 A bench run draws a seeded sample of fixed-bit-length scalars, runs every
-driver the chosen recoding form feeds, and counts each driver's runs by shape.
-A run's op counts are affine in its shape's fields, so each driver's are one
-call of the walk's own map, algorithms._op_counts, on those fields summed
-over its shape classes, times the runs in each (order independent, so a
-fixed seed fully determines the report). Pricing is in integers: each
-operation kind gets one price in M-equivalents over one denominator, a
-driver's total is its counts dotted with those prices, and each reported
-figure is one exact Fraction made from such integers. Rendering rounds only
-at the very end, and only in table mode. A saving against a cost of 0 is
-None, per step as for a whole multiplication: JSON null, "-" in the table.
+driver the chosen recoding form feeds, and sums each driver's run shapes
+into four integers: length, weight, negative and the closing flip parity.
+A run's op counts are affine in its shape's fields, so each driver's are
+one call of the walk's own map, algorithms._op_counts, on its table bound
+and those sums (order independent, so a fixed seed fully determines the
+report). The runs remain, a _RECODE_BATCH of expansions at a time, each
+from the identity of Z/1 under a CostChargingGroup whose prices_of prices
+the report; shape functions that read the four fields off a scalar, with
+prices read off the profile, would replace all of them (ROADMAP item 2b).
+Pricing is in integers: each operation kind gets one price in
+M-equivalents over one denominator, a driver's total is its counts dotted
+with those prices, and each reported figure is one exact Fraction made
+from such integers. Rendering rounds only at the very end, and only in
+table mode. A saving against a cost of 0 is None, per step as for a whole
+multiplication: JSON null, "-" in the table.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
 
@@ -234,18 +239,28 @@ def run_bench(
     else:
         expand = partial(width_w_naf, w=width)
     # Every run is from the identity, untraced, so its result is
-    # (identity, shape, None): results are equal exactly when shapes are.
-    results = {algo: Counter() for algo in algo_ids}
+    # (identity, shape, None). A driver's shapes share one table bound (one
+    # form and width per bench); each batch adds their other fields, and
+    # entry._odd where there is no lookahead, to the driver's four sums.
+    bounds, sums = {}, dict.fromkeys(algo_ids, (0, 0, 0, 0))
+    shape = operator.itemgetter(1)
     for start in range(0, samples, _RECODE_BATCH):
         expansions = list(map(expand, scalars[start : start + _RECODE_BATCH]))
         for algo in algo_ids:
-            run = ALGORITHMS[algo].run
-            results[algo].update(map(run, expansions, repeat(D), repeat(group), repeat(False)))
+            entry = ALGORITHMS[algo]
+            runs = map(entry.run, expansions, repeat(D), repeat(group), repeat(False))
+            _, table_bounds, *fields = zip(*map(shape, runs))
+            bounds[algo] = table_bounds[0]
+            fields.append(() if entry.lookahead else map(entry._odd, *fields[:2]))
+            sums[algo] = tuple(map(operator.add, sums[algo], map(sum, fields)))
     weights = _weights(ratios)
     den, Fraction = weights[0], _fraction()
-    kind_prices = [_dot(prices[kind], weights) for kind in OP_KINDS]
-    counts = {algo: _counts_of(results[algo]) for algo in algo_ids}
-    totals = {algo: _dot(counts[algo], kind_prices) for algo in algo_ids}
+    kind_prices = {kind: _dot(prices[kind], weights) for kind in OP_KINDS}
+    counts = {
+        algo: _op_counts(ALGORITHMS[algo], bounds[algo], samples, *sums[algo])[0]
+        for algo in algo_ids
+    }
+    totals = {algo: _dot(counts[algo], kind_prices.values()) for algo in algo_ids}
     entries = []
     for algo in algo_ids:
         n = totals[algo]
@@ -253,11 +268,8 @@ def run_bench(
         figures = Fraction(n, den), Fraction(n, den * samples), saving
         entries.append(AlgorithmEntry(algo, _ledger(counts[algo]), *figures))
     per_step = {}
-    for name, plain_cost, fused_cost in (
-        ("add", profile.add_cost, profile.neg_add_cost),
-        ("dbl", profile.dbl_cost, profile.neg_dbl_cost),
-    ):
-        plain, fused = _dot(plain_cost, weights), _dot(fused_cost, weights)
+    for name in ("add", "dbl"):
+        plain, fused = kind_prices[name], kind_prices["neg_" + name]
         figures = Fraction(plain, den), Fraction(fused, den), _saving(plain, fused, Fraction)
         per_step[name] = StepCosts(*figures)
     return BenchReport(
@@ -272,20 +284,6 @@ def run_bench(
         algorithms=tuple(entries),
         prices=prices,
     )
-
-
-def _counts_of(results: Counter) -> tuple[int, ...]:
-    """One driver's summed op counts, in OP_KINDS order, from its runs counted by shape class.
-
-    One form and width per bench and no negated base: the shapes share entry
-    and table bound, and each other field, and entry._odd, times the runs in
-    each class, sums to an argument of _op_counts.
-    """
-    runs = results.values()
-    (entry, *_), (table_bound, *_), *columns = zip(*(result.shape for result in results))
-    columns.append(map(entry._odd, *columns[:2]))
-    sums = (sum(map(operator.mul, column, runs)) for column in columns)
-    return _op_counts(entry, table_bound, sum(runs), *sums)[0]
 
 
 def _saving(base: int, improved: int, fraction: type[Fraction]) -> Fraction | None:

@@ -265,14 +265,20 @@ def test_report_is_self_consistent(profile, form, width, ratios):
         assert set(savings) == {None}
 
 
+@pytest.mark.parametrize(
+    "batch", [1, _RECODE_BATCH, 2 * _RECODE_BATCH + 2], ids=["batch-1", "batch-default", "batch-past-sample"]
+)
 @pytest.mark.parametrize("profile", [PICARD_PROFILE, HYPERELLIPTIC_PROFILE], ids=lambda p: p.name)
-def test_totals_priced_by_shape_class_equal_the_merged_run_ledgers(profile):
+def test_totals_priced_from_summed_shapes_equal_the_merged_run_ledgers(profile, batch, monkeypatch):
+    # a batch of one sums every run's shape on its own; one past the sample
+    # sums them all at once, reading the table bound off a single batch
+    monkeypatch.setattr(negmul.bench, "_RECODE_BATCH", batch)
     group = CostChargingGroup(FreeGroup(), profile)
     prices = prices_of(group)
     D = Opaque(1)
     runs = [("binary", 4), ("naf", 4)] + [("wnaf", w) for w in range(2, 7)]
     cases = [(24, 60, seed, form, width) for seed in (0, 1, 2, 3) for form, width in runs]
-    # more than two batches of expansions, folded into each driver's counts
+    # more than two default batches of expansions, summed into each driver's counts
     cases += [(8, 2 * _RECODE_BATCH + 1, 0, form, width) for form, width in runs]
     for case in cases:
         bits, samples, seed, form, width = case
