@@ -48,7 +48,7 @@ class MulResult(namedtuple("MulResult", ("element", "shape", "trace"), defaults=
     shape is (entry, table_bound, length, weight, negative), then True when
     scalar_mul negated D first: the driver's ALGORITHMS entry, the bound of
     the table the walk built (None for none), the expansion's length and
-    weight, and whether the walk stores -D for a negative digit alone.
+    weight, and whether a digit is negative.
     ledger counts the group operations a run from any base but the identity
     performs (an untraced run from the identity makes none, see _walk);
     table_ledger is the table's part of it, or None. Both are made from
@@ -85,11 +85,12 @@ def _op_counts(
     arguments sum the runs' shape fields (negated: the runs with a negated
     base; odd: those Algorithm._odd finds odd); the counts are affine in them.
     Each walk builds its table (one dbl when it holds 3D, an add per further
-    entry, a neg per entry), then makes length - 1 doublings and weight - 1
-    additions of the kinds entry fuses or not, a closing neg when odd
-    without lookahead, and a neg for a negated base. Shapes come only from
-    _walk, which has accepted the expansion, and from scalar_mul, so nothing
-    is checked.
+    entry, a neg per entry; with no table bound, the neg storing -D, which
+    a walk that fuses no step makes only when negative), then makes
+    length - 1 doublings and weight - 1 additions of the kinds entry fuses
+    or not, a closing neg when odd without lookahead, and a neg for a
+    negated base. Shapes come only from _walk, which has accepted the
+    expansion, and from scalar_mul, so nothing is checked.
     """
     _, _, fuse_dbl, fuse_add, lookahead, _ = entry
     if table_bound is None:
@@ -165,9 +166,7 @@ def _walk(
         if table_bound > 1:
             raise ValueError(f"digit_bound {table_bound} exceeds the addend table's bound 1")
         table_bound = None
-    # a negative digit matters only where nothing else stores -D
-    negative = not (fuse_dbl or fuse_add) and table_bound is None and e.has_negative
-    weight = e.weight
+    negative, weight = e.has_negative, e.weight
     shape = (entry, table_bound, length, weight, negative)
     if not trace and D is group.identity:
         # every multiple of the identity is the identity

@@ -6,10 +6,11 @@ into four integers: length, weight, negative and the closing flip parity.
 A run's op counts are affine in its shape's fields, so each driver's are
 one call of the walk's own map, algorithms._op_counts, on its table bound
 and those sums (order independent, so a fixed seed fully determines the
-report). The runs remain, a _RECODE_BATCH of expansions at a time, each
-from the identity of Z/1 under a CostChargingGroup whose prices_of prices
-the report; shape functions that read the four fields off a scalar, with
-prices read off the profile, would replace all of them (ROADMAP item 2b).
+report). The runs remain, a _RECODE_BATCH of scalars drawn and recoded at
+a time, each from the identity of the bare group Z/1; only prices_of reads
+the CostChargingGroup. Shape functions that read the four fields off a
+scalar, with prices read off the profile, would replace all of them
+(ROADMAP item 2b).
 Pricing is in integers: each operation kind gets one price in
 M-equivalents over one denominator, a driver's total is its counts dotted
 with those prices, and each reported figure is one exact Fraction made
@@ -24,7 +25,7 @@ import math
 import operator
 from collections import namedtuple
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 
 from .algorithms import ALGORITHMS, _op_counts
 from .backends import CostChargingGroup, CostProfile, ModularGroup
@@ -44,11 +45,12 @@ from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
 MIN_BITS, MAX_BITS = 8, 4096
-# Scalars recoded at once, each expansion then run by every driver; bounds
-# the expansions held at once, whatever the sample size or bit length.
+# Scalars drawn and recoded at once, each expansion then run by every driver;
+# bounds the scalars and expansions held, whatever the sample size or bits.
 _RECODE_BATCH = 32
 
 
@@ -60,6 +62,11 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
     be a nonnegative int: Random would take None as "unseeded" and -1 or True
     as 1, so the report could print a seed that does not reproduce it.
     """
+    return list(_scalars(bits, count, seed))
+
+
+def _scalars(bits: int, count: int, seed: int) -> Iterator[int]:
+    """sample_scalars' checks, made at once, then its scalars, drawn as they are read."""
     if not isinstance(bits, int) or isinstance(bits, bool):
         raise ValueError(f"bits must be an integer, got {bits!r}")
     if not MIN_BITS <= bits <= MAX_BITS:
@@ -70,9 +77,8 @@ def sample_scalars(bits: int, count: int, seed: int) -> list[int]:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     import random  # only bench samples; kept off the start-up path
 
-    rng = random.Random(seed)
-    top = 1 << (bits - 1)
-    return [top | rng.getrandbits(bits - 1) for _ in range(count)]
+    rng, top = random.Random(seed), 1 << (bits - 1)
+    return (top | rng.getrandbits(bits - 1) for _ in range(count))
 
 
 def algorithms_for_form(form: str) -> tuple[str, ...]:
@@ -135,45 +141,38 @@ class BenchReport(
         """Canonical JSON: sorted keys, two-space indent, ASCII escapes; byte stable for a seed.
 
         Written straight from the fields, it is the text json.dumps(...,
-        sort_keys=True, indent=2) makes of the schema in the README. Each op
-        block is the kind's count times its price, in integers.
+        sort_keys=True, indent=2) makes of the schema in the README. Each
+        block is one % over its template; an op block holds the kind's count
+        times its price, in integers.
         """
         # only JSON output needs it; kept off the start-up path
         from json.encoder import encode_basestring_ascii as quote
 
-        prices = [self.prices[kind] for kind in OP_KINDS]
-        algorithms = []
-        for entry in self.algorithms:
-            values = []
-            for kind, (mul, sqr, inv, add_f) in zip(OP_KINDS, prices):
-                n = entry.ledger._counts[kind]
-                values += (n * add_f, n, n * inv, n * mul, n * sqr)
-            algorithms.append(
-                _ALGORITHM_JSON.format(
-                    id=quote(entry.algo_id),
-                    mean_weighted=entry.mean_weighted,
-                    ops=_OPS_JSON % tuple(values),
-                    savings=_json_fraction(entry.savings_vs_baseline),
-                    total_weighted=entry.total_weighted,
-                )
+        # the factors of each op block's add_f, count, inv, mul and sqr
+        factors = [
+            x for mul, sqr, inv, add_f in map(self.prices.__getitem__, OP_KINDS)
+            for x in (add_f, 1, inv, mul, sqr)
+        ]
+        algorithms = [
+            _ALGORITHM_JSON % (
+                quote(entry.algo_id),
+                entry.mean_weighted,
+                *map(operator.mul, map(entry.ledger._counts.__getitem__, _OP_FIELD_KINDS), factors),
+                _json_fraction(entry.savings_vs_baseline),
+                entry.total_weighted,
             )
-        per_step = []
-        for name in ("add", "dbl"):
-            step = self.per_step[name]
-            savings = _json_fraction(step.savings)
-            per_step.append(
-                _STEP_JSON.format(name=name, fused=step.fused, plain=step.plain, savings=savings)
-            )
-        return _REPORT_JSON.format(
-            algorithms=",\n".join(algorithms),
-            per_step=",\n".join(per_step),
-            preset=quote(self.preset),
-            ratios=self.ratios,
-            bits=self.bits,
-            count=self.samples,
-            form=quote(self.form),
-            seed=self.seed,
-            width="null" if self.width is None else self.width,
+            for entry in self.algorithms
+        ]
+        per_step = [
+            _STEP_JSON % (name, step.fused, step.plain, _json_fraction(step.savings))
+            for name, step in sorted(self.per_step.items())
+        ]
+        ratios = self.ratios
+        return _REPORT_JSON % (
+            ",\n".join(algorithms), ",\n".join(per_step), quote(self.preset),
+            ratios.addf_per_mul, ratios.inv_per_mul, ratios.sqr_per_mul,
+            self.bits, self.samples, quote(self.form), self.seed,
+            "null" if self.width is None else self.width,
         )
 
     def render_table(self) -> str:
@@ -221,17 +220,17 @@ def run_bench(
     if form not in RECODING_FORMS:
         raise ValueError(f"unknown recoding form {form!r}; expected one of {RECODING_FORMS}")
     # Only shapes are read, so every driver runs from the identity of the
-    # one-element group Z/1, where a walk returns its shape and makes no
-    # group call. The wrapper refuses a profile that is not a CostProfile.
-    group = CostChargingGroup(ModularGroup(1), profile)
+    # bare one-element group Z/1, where a walk returns its shape and makes
+    # no group call. The wrapper only refuses a profile that is not a
+    # CostProfile and gives its prices.
+    z1 = ModularGroup(1)
+    prices = prices_of(CostChargingGroup(z1, profile))
     if ratios is _DEFAULT:
         ratios = _default_ratios()
     if not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
-    scalars = sample_scalars(bits, samples, seed)
-    D = group.identity
+    scalars = _scalars(bits, samples, seed)
     algo_ids = algorithms_for_form(form)
-    prices = prices_of(group)
     if form == "binary":
         expand = binary_expansion
     elif form == "naf":
@@ -244,11 +243,11 @@ def run_bench(
     # entry._odd where there is no lookahead, to the driver's four sums.
     bounds, sums = {}, dict.fromkeys(algo_ids, (0, 0, 0, 0))
     shape = operator.itemgetter(1)
-    for start in range(0, samples, _RECODE_BATCH):
-        expansions = list(map(expand, scalars[start : start + _RECODE_BATCH]))
+    for _ in range(0, samples, _RECODE_BATCH):
+        expansions = list(map(expand, islice(scalars, _RECODE_BATCH)))
         for algo in algo_ids:
             entry = ALGORITHMS[algo]
-            runs = map(entry.run, expansions, repeat(D), repeat(group), repeat(False))
+            runs = map(entry.run, expansions, repeat(z1.identity), repeat(z1), repeat(False))
             _, table_bounds, *fields = zip(*map(shape, runs))
             bounds[algo] = table_bounds[0]
             fields.append(() if entry.lookahead else map(entry._odd, *fields[:2]))
@@ -296,8 +295,10 @@ def _saving(base: int, improved: int, fraction: type[Fraction]) -> Fraction | No
 
 # BenchReport.to_json's layout, as json.dumps(..., sort_keys=True, indent=2)
 # lays the schema out: every object's keys in sorted order (OP_KINDS is
-# sorted too) and each fraction a quoted str(). _OPS_JSON holds every
-# kind's op block, each taking its add_f, count, inv, mul and sqr in turn.
+# sorted too) and each fraction a quoted str(). An algorithm block takes its
+# id, mean, then each kind's add_f, count, inv, mul and sqr in turn (the
+# kinds of those fields are _OP_FIELD_KINDS), its saving and its total.
+_OP_FIELD_KINDS = [kind for kind in OP_KINDS for _ in range(5)]
 _OPS_JSON = ",\n".join(
     f"""\
         "{kind}": {{
@@ -309,44 +310,44 @@ _OPS_JSON = ",\n".join(
         }}"""
     for kind in OP_KINDS
 )
-_ALGORITHM_JSON = """\
+_ALGORITHM_JSON = f"""\
     {{
-      "id": {id},
-      "mean_weighted": "{mean_weighted!s}",
+      "id": %s,
+      "mean_weighted": "%s",
       "ops": {{
-{ops}
+{_OPS_JSON}
       }},
-      "savings_vs_baseline_percent": {savings},
-      "total_weighted": "{total_weighted!s}"
+      "savings_vs_baseline_percent": %s,
+      "total_weighted": "%s"
     }}"""
 _STEP_JSON = """\
-    "{name}": {{
-      "fused": "{fused!s}",
-      "plain": "{plain!s}",
-      "savings_percent": {savings}
-    }}"""
+    "%s": {
+      "fused": "%s",
+      "plain": "%s",
+      "savings_percent": %s
+    }"""
 _REPORT_JSON = """\
-{{
+{
   "algorithms": [
-{algorithms}
+%s
   ],
-  "per_step": {{
-{per_step}
-  }},
-  "preset": {preset},
-  "ratios": {{
-    "addf_per_mul": "{ratios.addf_per_mul!s}",
-    "inv_per_mul": "{ratios.inv_per_mul!s}",
-    "sqr_per_mul": "{ratios.sqr_per_mul!s}"
-  }},
-  "sample": {{
-    "bits": {bits},
-    "count": {count},
-    "form": {form},
-    "seed": {seed},
-    "width": {width}
-  }}
-}}"""
+  "per_step": {
+%s
+  },
+  "preset": %s,
+  "ratios": {
+    "addf_per_mul": "%s",
+    "inv_per_mul": "%s",
+    "sqr_per_mul": "%s"
+  },
+  "sample": {
+    "bits": %s,
+    "count": %s,
+    "form": %s,
+    "seed": %s,
+    "width": %s
+  }
+}"""
 
 
 def _json_fraction(x: Fraction | None) -> str:

@@ -320,8 +320,8 @@ CONTRACT_RUNS = [
     for form in forms
     for width in (range(MIN_WIDTH, MAX_WIDTH + 1) if form == "wnaf" else (4,))
 ]
-# bench's group: the one-element group Z/1 in the charging wrapper
-TRIVIAL = CostChargingGroup(ModularGroup(1), PICARD_PROFILE)
+# bench's group: the bare one-element group Z/1, whose identity is a class attribute
+TRIVIAL = ModularGroup(1)
 # the digit_bound of a width-w NAF, for every width; the entries with no
 # table_from take bound 1 only
 WNAF_BOUNDS = [(1 << (w - 1)) - 1 for w in range(MIN_WIDTH, MAX_WIDTH + 1)]
@@ -346,19 +346,24 @@ def assert_driver_contract(algo, e, traced=True):
     """The driver contract on one digit string e.
 
     The exact coefficient with no element read, and a ledger that counts the
-    group calls made; from the identity object, bench's of Z/1 included,
-    the shape of that run with no group call. Traced, the run goes through
-    the charging wrapper, which passes each call on once, and shows the sign
-    invariant at every step, of the entry's kinds, and its start and closing
-    flags, which Algorithm._odd gives.
+    group calls made; from the identity object, bench's of Z/1 and the
+    charging wrapper's included, the shape of that run with no group call:
+    e's stored length, weight and has_negative, the fields bench sums.
+    Traced, the run goes through the charging wrapper, which passes each
+    call on once, and shows the sign invariant at every step, of the
+    entry's kinds, and its start and closing flags, which Algorithm._odd
+    gives.
     """
     entry, run = ALGORITHMS[algo], (algo, e)
     g = FreeGroup()
     res = entry.run(e, Opaque(1), CostChargingGroup(g, PICARD_PROFILE) if traced else g, traced)
     assert (res.element.coefficient, res.ledger.counts()) == (e.value, g.calls), run
-    assert entry.run(e, TRIVIAL.identity, TRIVIAL, False)[:2] == (0, res.shape), run
+    bench = entry.run(e, TRIVIAL.identity, TRIVIAL, False)
+    assert (bench.element, bench.shape) == (0, res.shape), run
+    assert bench.shape[2:5] == (e.length, e.weight, e.has_negative), run
     zero = FreeGroup()
-    got = entry.run(e, zero.identity, zero, False)
+    charged = CostChargingGroup(zero, PICARD_PROFILE)
+    got = entry.run(e, charged.identity, charged, False)
     assert (got.element is zero.zero, got.shape, got.trace) == (True, res.shape, None), run
     assert not any(zero.calls.values()), run
     assert (res.trace is not None) == traced, run

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,9 +69,12 @@ def test_sample_scalars_take_only_seeds_that_reproduce_the_sample():
             sample_scalars(64, 1, seed)
         with pytest.raises(ValueError, match="seed"):
             run_bench(PICARD_PROFILE, bits=16, samples=1, seed=seed)
-    for count in (True, 1.5, "3"):
+    # run_bench draws its sample a batch at a time, but checks it at once
+    for count in (0, True, 1.5, "3"):
         with pytest.raises(ValueError, match="count"):
             sample_scalars(64, count, 0)
+        with pytest.raises(ValueError, match="count"):
+            run_bench(PICARD_PROFILE, bits=16, samples=count)
 
 
 def test_algorithms_for_form():
@@ -462,11 +466,19 @@ def test_long_benches_build_no_digit_tuple(monkeypatch, capsys):
     def no_gather(*args):
         raise _Gathered
 
+    def through_the_wrapper(*args):
+        raise AssertionError("a bench run went through the charging wrapper")
+
     monkeypatch.setattr(negmul.recoding, "_gather", no_gather)
-    # bench's walks start from the identity and read the shape alone
-    for args, digest in [*LONG_BENCH_PINS, BINARY_160_PIN]:
-        assert cli.main(["bench", "picard", *args, "--format", "json", "--seed", "0"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
+    # bench's walks start from the identity of the bare Z/1 and read the
+    # shape alone; only prices_of reads the wrapper, through cost_of
+    with pytest.MonkeyPatch.context() as wrapper:
+        wrapper.setattr(CostChargingGroup, "identity", property(through_the_wrapper))
+        for kind in OP_KINDS:
+            wrapper.setattr(CostChargingGroup, kind, through_the_wrapper)
+        for args, digest in [*LONG_BENCH_PINS, BINARY_160_PIN]:
+            assert cli.main(["bench", "picard", *args, "--format", "json", "--seed", "0"]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, args
     # recode and mul read the digits, so the patched gather is the one they reach
     m = str((1 << 159) + 0x5DEECE66D)
     calls = [
@@ -488,3 +500,19 @@ def test_long_benches_build_no_digit_tuple(monkeypatch, capsys):
             assert re.fullmatch(r"1( (-?\d+))*, l=16\d, w=\d+\n", out), out
         else:
             assert out.startswith(f"{int(m) % 101}\nops: "), out
+
+
+def test_a_long_bench_holds_one_batch_of_scalars_at_a_time():
+    # drawn a batch at a time, a 4096-bit sample of 3000 scalars peaks near
+    # 0.1 MB under tracemalloc; drawn whole before the first batch, it
+    # peaked at 1.8 MB, growing with the sample size
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_bench(PICARD_PROFILE, bits=4096, samples=samples, form="wnaf", width=4, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * _RECODE_BATCH)
+    assert peak(3000) < 400_000
