@@ -210,27 +210,24 @@ def _recording(
 ) -> tuple[Callable[[Element], Element], Callable[[Element, Element], Element]]:
     """dbl and add, each appending its TraceStep to steps after the call.
 
-    f is the walk's starting flag; the wrappers flip their own copy as the
+    f is the walk's starting flag; both wrappers flip this one copy as the
     walk flips its own, so each step records the flag after it.
     """
-    dbl_kind = "neg_dbl" if fuse_dbl else "dbl"
-    add_kind = "neg_add" if fuse_add else "add"
 
-    def recorded_dbl(E: Element) -> Element:
-        nonlocal f
-        E = dbl(E)
-        f ^= fuse_dbl
-        steps.append(TraceStep(dbl_kind, f, E))
-        return E
+    def recorded(op: Callable[..., Element], kind: str, flips: bool) -> Callable[..., Element]:
+        def step(*args: Element) -> Element:
+            nonlocal f
+            E = op(*args)
+            f ^= flips
+            steps.append(TraceStep(kind, f, E))
+            return E
 
-    def recorded_add(E: Element, A: Element) -> Element:
-        nonlocal f
-        E = add(E, A)
-        f ^= fuse_add
-        steps.append(TraceStep(add_kind, f, E))
-        return E
+        return step
 
-    return recorded_dbl, recorded_add
+    return (
+        recorded(dbl, "neg_dbl" if fuse_dbl else "dbl", fuse_dbl),
+        recorded(add, "neg_add" if fuse_add else "add", fuse_add),
+    )
 
 
 def double_and_add(

@@ -36,7 +36,6 @@ from .costs import (
     _DEFAULT,
     _default_ratios,
     _dot,
-    _fraction,
     _ledger,
     _weights,
 )
@@ -252,8 +251,10 @@ def run_bench(
             bounds[algo] = table_bounds[0]
             fields.append(() if entry.lookahead else map(entry._odd, *fields[:2]))
             sums[algo] = tuple(map(operator.add, sums[algo], map(sum, fields)))
+    from fractions import Fraction
+
     weights = _weights(ratios)
-    den, Fraction = weights[0], _fraction()
+    den = weights[0]
     kind_prices = {kind: _dot(prices[kind], weights) for kind in OP_KINDS}
     counts = {
         algo: _op_counts(ALGORITHMS[algo], bounds[algo], samples, *sums[algo])[0]

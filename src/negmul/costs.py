@@ -8,9 +8,9 @@ actually did, for its reader to price. Totals and percentages stay in
 fractions.Fraction throughout, so every derived figure is exact and
 comparisons in tests need no tolerance.
 
-fractions, which loads decimal and numbers, is imported on the first use of
-a ratio, a weighted total or a saving, so that importing the package costs
-none of it. DEFAULT_RATIOS is made on its first read.
+fractions, which loads decimal and numbers, is imported inside each function
+that makes a Fraction, so that importing the package costs none of it.
+DEFAULT_RATIOS is made on its first read.
 """
 
 from __future__ import annotations
@@ -26,17 +26,6 @@ if TYPE_CHECKING:
     from typing import NoReturn
 
 OP_KINDS = ("add", "dbl", "neg", "neg_add", "neg_dbl")
-
-_Fraction = None  # fractions.Fraction once _fraction() has imported it
-
-
-def _fraction() -> type[Fraction]:
-    """fractions.Fraction, imported on the first call and bound to _Fraction for the rest."""
-    global _Fraction
-    from fractions import Fraction as _Fraction
-
-    return _Fraction
-
 
 class SameClassEquality:
     """Mixin for checked tuple records: same-class equality and a checked _replace.
@@ -129,7 +118,8 @@ class CostRatios(SameClassEquality, _CostRatiosFields):
         inv_per_mul: Fraction | int | str = 10,
         addf_per_mul: Fraction | int | str = 0,
     ) -> CostRatios:
-        Fraction = _Fraction or _fraction()
+        from fractions import Fraction
+
         ratios = []
         for name, value in zip(cls._fields, (sqr_per_mul, inv_per_mul, addf_per_mul)):
             try:
@@ -191,7 +181,8 @@ def weighted_total(cost: CostVector, ratios: CostRatios = _DEFAULT) -> Fraction:
         ratios = _default_ratios()
     elif not isinstance(ratios, CostRatios):
         raise ValueError(f"ratios must be a CostRatios, got {ratios!r}")
-    Fraction = _Fraction or _fraction()
+    from fractions import Fraction
+
     weights = _weights(ratios)
     return Fraction(_dot(cost, weights), weights[0])
 
@@ -203,7 +194,8 @@ def savings_percent(base: Fraction | int, improved: Fraction | int) -> Fraction:
     made as one Fraction. Each argument must be an int or a Fraction, not a
     bool, and base must be positive; anything else raises a ValueError.
     """
-    Fraction = _Fraction or _fraction()
+    from fractions import Fraction
+
     for name, value in (("base", base), ("improved", improved)):
         if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
             raise ValueError(f"{name} cost must be an int or a Fraction, got {value!r}")

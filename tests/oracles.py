@@ -70,6 +70,26 @@ class FreeGroup(NegationAwareGroup):
         return Opaque(-2 * a.coefficient)
 
 
+class PlainModular(NegationAwareGroup):
+    """Z/n with only the required operations; the fused forms are the interface's defaults."""
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def identity(self):
+        return 0
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def dbl(self, a):
+        return (a + a) % self.n
+
+    def neg(self, a):
+        return -a % self.n
+
+
 def reference_width_w_naf(m, w):
     """Digits of the width-w NAF of m >= 0, most-significant first, one digit per step.
 

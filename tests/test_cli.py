@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -15,6 +17,8 @@ from negmul.backends import PICARD_PROFILE, PRESETS
 from negmul.costs import DEFAULT_RATIOS
 from negmul.verify import Mismatch
 
+from test_bench import LONG_BENCH_PINS
+
 
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
@@ -22,28 +26,70 @@ def run_cli(capsys, *argv):
     return rc, out
 
 
-def test_recode_naf(capsys):
-    rc, out = run_cli(capsys, "recode", "3", "naf")
+# A 4096-bit scalar, and cost ratios other than the default
+M_4096 = str(Random(7).getrandbits(4096) | 1 << 4095)
+RATIOS = "--sqr-per-mul 4/5 --inv-per-mul 80/7 --addf-per-mul 1/50"
+# argv, with {m} and {ratios} filled in, to its exact stdout or, where that
+# ends in no newline, to the sha256 of its stdout
+CLI_OUTPUTS = {
+    "recode 3 naf": "1 0 -1, l=3, w=2\n",
+    "recode 3": "1 0 -1, l=3, w=2\n",
+    "recode 6 binary": "1 1 0, l=3, w=2\n",
+    "recode 0 naf": "(empty), l=0, w=0\n",
+    "recode 0x7 wnaf --width 3": "1 0 0 -1, l=4, w=2\n",
+    "recode 0x7fff naf": "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 -1, l=16, w=2\n",
+    "recode 15 wnaf --width 3": "1 0 0 0 -1, l=5, w=2\n",
+    "recode 0xffff wnaf --width 4": "1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 -1, l=17, w=2\n",
+    "recode +0x11": "1 0 0 0 1, l=5, w=2\n",
+    "recode {m} wnaf --width 4": "801487e898a6877a67160ad5171b3819a395904325490411c754a85063332f6b",
+    "recode {m} wnaf --width 8": "8f58170943107f96efd8a5eafbc26e277a8bc2e1431aba32d488ac77fe5ac21f",
+    "recode {m} wnaf --width 9": "ce7f9327444f952a8984b385e34d206f8bbbed885dedeaaf26e6f7e4496f5507",
+    "recode {m} naf": "305d4b5365b8a921462c1a995186bf2ed4798e61fe4a923330c1a6c4cdb727c6",
+    "mul --n 7 --scalar 3 --algo neg": "3\nops: add=0 dbl=0 neg=1 neg_add=1 neg_dbl=2\n",
+    "mul --n 5 --scalar 0": "0\nops: add=0 dbl=0 neg=0 neg_add=0 neg_dbl=0\n",
+    "mul --n 101 --scalar -17 --algo neg": "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n",
+    "mul --n 101 --scalar -0x11 --algo neg": "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n",
+    "mul --n 101 --scalar -1 --algo neg": "100\nops: add=0 dbl=0 neg=1 neg_add=0 neg_dbl=0\n",
+    "mul --n 101 --scalar 1000 --algo window --width 5": "91\nops: add=7 dbl=1 neg=9 neg_add=1 neg_dbl=10\n",
+    "mul --n 101 --scalar 1000 --algo baseline --form wnaf --width 5": (
+        "91\nops: add=8 dbl=11 neg=8 neg_add=0 neg_dbl=0\n"
+    ),
+    "mul --n 101 --scalar -45 --form wnaf --width 2 --algo baseline": (
+        "56\nops: add=3 dbl=6 neg=2 neg_add=0 neg_dbl=0\n"
+    ),
+    "mul --n 101 --scalar -45 --form wnaf --width 2 --algo window": (
+        "56\nops: add=0 dbl=0 neg=3 neg_add=3 neg_dbl=6\n"
+    ),
+    "verify --max-n 5": "PASS, 0 mismatches (800 products checked)\n",
+    "verify --max-n 11": "PASS, 0 mismatches (6240 products checked)\n",
+    "verify --max-n 7 --max-m-multiplier 16": "PASS, 0 mismatches (9472 products checked)\n",
+    "verify --max-n 97": "PASS, 0 mismatches (338080 products checked)\n",
+    "verify --max-n 31 --max-m-multiplier 1": "PASS, 0 mismatches (9248 products checked)\n",
+    "verify --max-n 97 --max-m-multiplier 16": "PASS, 0 mismatches (1352320 products checked)\n",
+    "bench picard --bits 160 --samples 100 --seed 0": (
+        "8e2ff72f605893ab4c420c21f1cc09c2f07954d27061e8005cc3f071e9fba726"
+    ),
+    "bench picard --bits 160 --samples 100 --seed 0 {ratios} --format json": (
+        "714ff67360ae2507c64e6bae5b462d0d9189e234ac57321b900982d3797973c9"
+    ),
+    "bench picard --bits 160 --samples 100 --seed 0 {ratios}": (
+        "6664d1200afc1f705a47f46a6beef319ff3f77cf46b229fe75a1c94e59286470"
+    ),
+}
+
+
+def pinned(out, expected):
+    """out itself if expected is an exact stdout, else the sha256 of out."""
+    return out if expected.endswith("\n") else hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, expected", CLI_OUTPUTS.items(), ids=[c.replace(" ", "_") for c in CLI_OUTPUTS]
+)
+def test_cli_output(capsys, command, expected):
+    rc, out = run_cli(capsys, *command.format(m=M_4096, ratios=RATIOS).split())
     assert rc == 0
-    assert out == "1 0 -1, l=3, w=2\n"
-
-
-def test_recode_binary(capsys):
-    rc, out = run_cli(capsys, "recode", "6", "binary")
-    assert rc == 0
-    assert out == "1 1 0, l=3, w=2\n"
-
-
-def test_recode_zero(capsys):
-    rc, out = run_cli(capsys, "recode", "0", "naf")
-    assert rc == 0
-    assert out == "(empty), l=0, w=0\n"
-
-
-def test_recode_wnaf_and_hex(capsys):
-    rc, out = run_cli(capsys, "recode", "0x7", "wnaf", "--width", "3")
-    assert rc == 0
-    assert out == "1 0 0 -1, l=4, w=2\n"
+    assert pinned(out, expected) == expected
 
 
 def test_recode_accepts_signed_hex_like_signed_decimal(capsys):
@@ -57,11 +103,6 @@ def test_recode_accepts_signed_hex_like_signed_decimal(capsys):
         assert exc.value.code == 2
 
 
-def test_recode_defaults_to_naf(capsys):
-    rc, out = run_cli(capsys, "recode", "3")
-    assert out == "1 0 -1, l=3, w=2\n"
-
-
 def test_recode_rejects_negative_and_junk(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["recode", "-5"])
@@ -69,14 +110,6 @@ def test_recode_rejects_negative_and_junk(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["recode", "zzz"])
     assert exc.value.code == 2
-
-
-def test_mul_neg_driver(capsys):
-    rc, out = run_cli(capsys, "mul", "--n", "7", "--scalar", "3", "--algo", "neg")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "3"
-    assert lines[1] == "ops: add=0 dbl=0 neg=1 neg_add=1 neg_dbl=2"
 
 
 def test_mul_makes_one_ledger(monkeypatch, capsys):
@@ -97,14 +130,6 @@ def test_mul_makes_one_ledger(monkeypatch, capsys):
     assert rc == 0
     assert out == "84\nops: add=0 dbl=0 neg=2 neg_add=1 neg_dbl=4\n"
     assert calls == {"ledger": 1, "op_counts": 1}
-
-
-def test_mul_zero(capsys):
-    rc, out = run_cli(capsys, "mul", "--n", "5", "--scalar", "0")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "0"
-    assert lines[1] == "ops: add=0 dbl=0 neg=0 neg_add=0 neg_dbl=0"
 
 
 def test_mul_windowed(capsys):
@@ -159,16 +184,7 @@ def test_mul_rejects_small_modulus(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_small_pass(capsys):
-    rc, out = run_cli(capsys, "verify", "--max-n", "5")
-    assert rc == 0
-    assert out.startswith("PASS, 0 mismatches")
-
-
 def test_verify_max_m_multiplier(capsys):
-    rc, out = run_cli(capsys, "verify", "--max-n", "7", "--max-m-multiplier", "16")
-    assert rc == 0
-    assert out == "PASS, 0 mismatches (9472 products checked)\n"
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--max-n", "7", "--max-m-multiplier", "1025"])
     assert exc.value.code == 2
@@ -459,16 +475,18 @@ sys.exit(status)
 """
 
 
+SRC = str(Path(negmul.__file__).parent.parent)
+
+
 def startup_imports(*names, argv=(), site=True):
     """Which of names a fresh interpreter loads to import negmul.cli, build its parser and run main(argv).
 
     With site=False it runs under -S, so that what site imports (typing,
     pathlib and random, on some Python versions) is not loaded already.
     """
-    src = Path(negmul.__file__).parent.parent
     flags = ["-I"] if site else ["-I", "-S"]
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", STARTUP_CODE, str(src), " ".join(names), *argv],
+        [sys.executable, *flags, "-c", STARTUP_CODE, SRC, " ".join(names), *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -524,3 +542,52 @@ LAZY_MODULES = ("typing", "pathlib", "random")
 )
 def test_only_bench_loads_random_and_nothing_loads_typing_or_pathlib(argv, loaded):
     assert startup_imports(*LAZY_MODULES, argv=argv, site=False) == loaded
+
+
+# Runs main on each argv of a JSON list in turn, in one fresh interpreter,
+# and prints the JSON list of each call's (exit status, stdout).
+REPEATED_CALLS_CODE = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from negmul.cli import main
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        outputs.append((main(argv), out.getvalue()))
+print(json.dumps(outputs))
+"""
+
+
+def test_repeated_main_calls_in_one_interpreter_print_the_pinned_outputs():
+    # the first calls of verify, recode and bench fill the package's caches
+    # cold; both long benches are then run again warm, after a hyperelliptic
+    # bench and a mul that reads its run's ledger
+    long_benches = [
+        (["bench", "picard", *args, "--format", "json", "--seed", "0"], digest)
+        for args, digest in LONG_BENCH_PINS
+    ]
+    hyperelliptic = "fde08e2f4d0c518c58657cdba521792a5fc5f05b1ca1dac31c0ffc1b293a7bef"
+
+    def row(command):
+        return command.split(), CLI_OUTPUTS[command]
+
+    calls = [
+        row("verify --max-n 5"),
+        row("recode 3 naf"),
+        row("verify --max-n 11"),
+        *long_benches,
+        (["bench", "hyperelliptic", "--format", "json"], hyperelliptic),
+        row("mul --n 101 --scalar -17 --algo neg"),
+        *long_benches,
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", REPEATED_CALLS_CODE, SRC, json.dumps([argv for argv, _ in calls])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    outputs = json.loads(proc.stdout)
+    assert [(rc, pinned(out, expected)) for (rc, out), (_, expected) in zip(outputs, calls)] == [
+        (0, expected) for _, expected in calls
+    ]

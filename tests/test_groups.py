@@ -16,7 +16,6 @@ from negmul import (
     CostRatios,
     CostVector,
     ModularGroup,
-    NegationAwareGroup,
     ZERO_COST,
     load_profile,
     preset,
@@ -25,27 +24,9 @@ from negmul import (
     weighted_total,
 )
 
+from oracles import PlainModular
+
 SMALL_PRIMES = (5, 7, 11, 31, 97)
-
-
-class PlainModular(NegationAwareGroup):
-    """Supplies only the required operations; fused forms use the defaults."""
-
-    def __init__(self, n):
-        self.n = n
-
-    @property
-    def identity(self):
-        return 0
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def dbl(self, a):
-        return (a + a) % self.n
-
-    def neg(self, a):
-        return -a % self.n
 
 
 def test_modular_group_axioms_exhaustive():
@@ -93,14 +74,6 @@ def test_cost_charging_group_is_transparent():
         for b in range(97):
             assert charged.add(a, b) == inner.add(a, b)
             assert charged.neg_add(a, b) == inner.neg_add(a, b)
-
-
-def test_cost_charging_group_binds_the_inner_ops():
-    inner = ModularGroup(97)
-    charged = CostChargingGroup(inner, PICARD_PROFILE)
-    assert charged.identity == inner.identity
-    # the class-level methods forward to the inner group
-    assert CostChargingGroup.dbl(charged, 5) == inner.dbl(5)
 
 
 @pytest.mark.parametrize(
