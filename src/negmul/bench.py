@@ -6,17 +6,16 @@ into four integers: length, weight, negative and the closing flip parity.
 A run's op counts are affine in its shape's fields, so each driver's are
 one call of the walk's own map, algorithms._op_counts, on its table bound
 and those sums (order independent, so a fixed seed fully determines the
-report). The runs remain, a _RECODE_BATCH of scalars drawn and recoded at
-a time, each from the identity of the bare group Z/1; only prices_of reads
-the CostChargingGroup. Shape functions that read the four fields off a
-scalar, with prices read off the profile, would replace all of them
-(ROADMAP item 2b).
+report). The scalars are drawn and recoded a _RECODE_BATCH at a time, and
+each driver runs from the identity of the bare group Z/1; the profile's
+prices are read through a CostChargingGroup.
 Pricing is in integers: each operation kind gets one price in
 M-equivalents over one denominator, a driver's total is its counts dotted
 with those prices, and each reported figure is one exact Fraction made
 from such integers. Rendering rounds only at the very end, and only in
 table mode. A saving against a cost of 0 is None, per step as for a whole
-multiplication: JSON null, "-" in the table.
+multiplication: JSON null, "-" in the table. Each saving is
+costs.savings_percent of two such integers.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .costs import (
     _dot,
     _ledger,
     _weights,
+    savings_percent,
 )
 from .groups import prices_of
 from .recoding import RECODING_FORMS, binary_expansion, naf, width_w_naf
@@ -263,15 +263,15 @@ def run_bench(
     totals = {algo: _dot(counts[algo], kind_prices.values()) for algo in algo_ids}
     entries = []
     for algo in algo_ids:
-        n = totals[algo]
-        saving = _saving(totals["baseline"], n, Fraction)
+        n, base = totals[algo], totals["baseline"]
+        saving = savings_percent(base, n) if base else None
         figures = Fraction(n, den), Fraction(n, den * samples), saving
         entries.append(AlgorithmEntry(algo, _ledger(counts[algo]), *figures))
     per_step = {}
     for name in ("add", "dbl"):
         plain, fused = kind_prices[name], kind_prices["neg_" + name]
-        figures = Fraction(plain, den), Fraction(fused, den), _saving(plain, fused, Fraction)
-        per_step[name] = StepCosts(*figures)
+        saving = savings_percent(plain, fused) if plain else None
+        per_step[name] = StepCosts(Fraction(plain, den), Fraction(fused, den), saving)
     return BenchReport(
         preset=profile.name,
         ratios=ratios,
@@ -284,14 +284,6 @@ def run_bench(
         algorithms=tuple(entries),
         prices=prices,
     )
-
-
-def _saving(base: int, improved: int, fraction: type[Fraction]) -> Fraction | None:
-    """Percent saved from base to improved, two integers over one denominator; None if base is 0.
-
-    fraction is fractions.Fraction, which run_bench has already imported.
-    """
-    return fraction((base - improved) * 100, base) if base > 0 else None
 
 
 # BenchReport.to_json's layout, as json.dumps(..., sort_keys=True, indent=2)
